@@ -229,7 +229,13 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
     more than 1% divergence fails the run.
     """
     if n_workers is None:
-        n_workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            n_workers = int(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"{WORKERS_ENV} must be an integer, got {raw!r}"
+            ) from None
     n_workers = max(1, n_workers)
     mode_set = config.mode_set()
     n_mem = config.n_members
@@ -437,24 +443,29 @@ def power_spectrum(report: EnsembleReport, window: tuple[float, float] | None = 
     psd_se = per.std(axis=0, ddof=1) / np.sqrt(n)
     d_omega = omega[1] - omega[0]
     k = int(np.argmax(psd))
-    # parabolic interpolation of the peak position
-    if 0 < k < psd.size - 1:
-        y0, y1, y2 = np.log(psd[k - 1 : k + 2])
-        denom = y0 - 2 * y1 + y2
-        shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-        peak = omega[k] + shift * d_omega
-    else:
-        peak = omega[k]
-    # raw half-max crossings, linear interpolation
+    if not psd[k] > 0:
+        raise StatisticsError("periodogram is zero; no spectral line to measure")
+    # raw half-max crossings; the line must fall to half its peak on both
+    # sides, which also refuses a peak at the DC or the top bin
     half = psd[k] / 2.0
     i = k
     while i > 0 and psd[i] > half:
         i -= 1
-    left = omega[i] + (half - psd[i]) * d_omega / (psd[i + 1] - psd[i])
     j = k
     while j < psd.size - 1 and psd[j] > half:
         j += 1
+    if psd[i] > half or psd[j] > half:
+        raise StatisticsError(
+            f"periodogram peak at omega = {omega[k]:g} does not fall to half its "
+            "height on both sides; no resolved spectral line"
+        )
+    left = omega[i] + (half - psd[i]) * d_omega / (psd[i + 1] - psd[i])
     right = omega[j - 1] + (half - psd[j - 1]) * d_omega / (psd[j] - psd[j - 1])
+    # parabolic interpolation of the peak position
+    y0, y1, y2 = np.log(psd[k - 1 : k + 2])
+    denom = y0 - 2 * y1 + y2
+    shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
+    peak = omega[k] + shift * d_omega
     fwhm_raw = right - left
 
     fwhm_fit = 2.0 * _envelope_rate(x, dts, report.config)

@@ -99,6 +99,17 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    def test_store_stride_zero_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force=FORCE,
+            simulate={"x0": 1.0, "p0": 0.0, "t_span": 10.0, "dt": 0.016,
+                      "store_stride": 0},
+        )
+        rc = cli.main(["simulate", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "store_stride" in capsys.readouterr().err
+
 
 class TestEnsembleCommand:
     def test_full_run(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sedlab as sl
+from sedlab import dynamics
 
 
 def _ref_realization(total_time, seed=4242, oversample=2.0, omega_cut=20.0):
@@ -73,6 +74,126 @@ class TestIntegrator:
         h = tr.energy(force, sl.REF.m)
         assert np.all(np.isfinite(h))
         assert h.max() < 100.0  # stays desk-scale for a confining force
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _driven_rows(scales, t_span, dt, n_rows, t0=0.0, seed=4242):
+    ms = sl.build_mode_set(scales, omega_cut=20.0, total_time=t_span)
+    n_steps = int(round(t_span / dt))
+    drive = np.array([
+        dynamics.synthesize_drive(sl.sample_realization(ms, seed + i), t0, dt, n_steps)
+        for i in range(n_rows)
+    ])
+    return drive, n_steps
+
+
+class TestAffineRecurrence:
+    """rk4_core's linear-force recurrence against the step loop it replaces."""
+
+    def _compare(self, scales, force, drive, x0, p0, dt, n_steps, stride=1, t0=0.0):
+        args = (scales, force, drive, np.asarray(x0, float), np.asarray(p0, float),
+                dt, n_steps, stride, t0)
+        fast = dynamics.rk4_core(*args)
+        ref = dynamics._rk4_loop(*args)
+        assert fast[0].shape == ref[0].shape == (len(x0), n_steps // stride + 1)
+        assert _max_rel(fast[0], ref[0]) <= 1e-10
+        assert _max_rel(fast[1], ref[1]) <= 1e-10
+        assert np.array_equal(fast[2], ref[2])
+        assert np.array_equal(fast[0][:, 0], ref[0][:, 0])
+
+    def test_reference_size(self):
+        dt = 0.016
+        drive, n_steps = _driven_rows(sl.REF, 2000.0, dt, 3)
+        self._compare(sl.REF, sl.harmonic(1.0), drive, [0.0, 1.0, -0.5],
+                      [0.0, 0.0, 0.3], dt, n_steps)
+
+    def test_undamped(self):
+        # tau = 0 switches the field off, so drive with a hand-made signal
+        scales = sl.PhysicalScales(tau=0.0)
+        dt, n_steps = 0.02, 20_000
+        t = 0.5 * dt * np.arange(2 * n_steps + 1)
+        drive = np.array([np.cos(1.3 * t), 0.1 * np.sin(0.97 * t)])
+        self._compare(scales, sl.harmonic(1.0), drive, [1.0, 0.0], [0.0, 0.2],
+                      dt, n_steps)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_constant_term_stride_and_offset_start(self, stride):
+        dt, t0 = 0.016, 3.7
+        drive, n_steps = _driven_rows(sl.REF, 200.0, dt, 2, t0=t0)
+        self._compare(sl.REF, sl.polynomial([0.3, -1.0]), drive, [0.0, 2.0],
+                      [0.1, 0.0], dt, n_steps, stride=stride, t0=t0)
+
+    def test_near_jordan_map_takes_the_loop(self):
+        # critical damping, c1 = -4 m / tau^2, gives a defective RK4 map
+        tau = 0.01
+        scales = sl.PhysicalScales(tau=tau)
+        force = sl.polynomial([0.0, -4.0 * scales.m / tau**2])
+        dt, n_steps = 0.005, 400
+        drive = np.cos(0.5 * 0.5 * dt * np.arange(2 * n_steps + 1))[None, :]
+        args = (scales, force, drive, np.array([1.0]), np.array([0.0]), dt, n_steps)
+        fast, ref = dynamics.rk4_core(*args), dynamics._rk4_loop(*args, 1, 0.0)
+        for a, b in zip(fast, ref):
+            assert np.array_equal(a, b)
+
+    def test_escape_matches_loop(self):
+        runaway = sl.polynomial([0.0, 25.0], escape_bound=5.0)  # f = +25 x
+        dt, n_steps = 0.01, 1000
+        drive = np.zeros((2, 2 * n_steps + 1))
+        # the second member escapes first; the batch reports its step
+        args = (sl.REF, runaway, drive, np.array([1e-3, 1.0]), np.zeros(2),
+                dt, n_steps, 1, 2.0)
+        failures = []
+        for integrate in (dynamics.rk4_core, dynamics._rk4_loop):
+            with pytest.raises(sl.EscapeError) as exc:
+                integrate(*args)
+            failures.append(exc.value)
+        fast, ref = failures
+        assert fast.t_fail == ref.t_fail
+        assert 2.0 < fast.t_fail < 2.0 + n_steps * dt
+        assert fast.x == pytest.approx(ref.x, rel=1e-10)
+        with pytest.raises(sl.EscapeError) as alone:
+            dynamics.rk4_core(sl.REF, runaway, drive[1:], np.array([1.0]), np.zeros(1),
+                              dt, n_steps, 1, 2.0)
+        assert alone.value.t_fail == fast.t_fail
+
+    def test_divergence_at_first_non_finite_step(self):
+        repulsive = sl.polynomial([0.0, 25.0])
+        dt, n_steps = 0.01, 16_000
+        args = (sl.REF, repulsive, np.zeros((1, 2 * n_steps + 1)), np.array([1.0]),
+                np.zeros(1), dt, n_steps, 1, 0.0)
+        failures = []
+        for integrate in (dynamics.rk4_core, dynamics._rk4_loop):
+            with pytest.raises(sl.IntegrationDivergedError) as exc:
+                integrate(*args)
+            failures.append(exc.value.t_fail)
+        fast, ref = failures
+        # the loop looks only every _CHECK_EVERY steps, and its RK4 stages
+        # overflow a few steps before the state itself does
+        assert abs(fast - ref) < dynamics._CHECK_EVERY * dt
+
+
+class TestStepGridValidation:
+    def test_store_stride_below_one_rejected(self):
+        r = _ref_realization(10.0)
+        force = sl.harmonic(1.0)
+        with pytest.raises(sl.ConfigurationError, match="store_stride"):
+            sl.integrate_trajectory(sl.REF, force, None, 1.0, 0.0, 10.0, 0.01,
+                                    store_stride=0)
+        with pytest.raises(sl.ConfigurationError, match="store_stride"):
+            dynamics.rk4_core(sl.REF, force, np.zeros((1, 21)), np.ones(1),
+                              np.zeros(1), 0.01, 10, store_stride=0)
+        with pytest.raises(sl.ConfigurationError, match="store_stride"):
+            sl.hierarchy_terms(sl.REF, sl.quartic(1.0, 0.1), r, 1.0, 0.0, 10.0,
+                               0.01, store_stride=-1)
+
+    @pytest.mark.parametrize("t_span", [10.005, 0.004])
+    def test_hierarchy_rejects_partial_steps(self, t_span):
+        r = _ref_realization(20.0)
+        with pytest.raises(sl.ConfigurationError, match="whole number"):
+            sl.hierarchy_terms(sl.REF, sl.quartic(1.0, 0.1), r, 1.0, 0.0, t_span, 0.01)
 
 
 class TestZerothOrder:

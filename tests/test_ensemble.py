@@ -79,6 +79,13 @@ class TestRunEnsemble:
         via_env = sl.run_ensemble(cfg)
         assert np.array_equal(ref.x, via_env.x)
 
+    def test_non_integer_worker_env_is_a_configuration_error(self, monkeypatch):
+        from sedlab.ensemble import WORKERS_ENV
+
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        with pytest.raises(sl.ConfigurationError, match=WORKERS_ENV):
+            sl.run_ensemble(small_config(n_traj=2))
+
     def test_paired_members_share_field(self):
         cfg = small_config(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=3)
         rep = sl.run_ensemble(cfg)
@@ -280,6 +287,20 @@ class TestPowerSpectrum:
     def test_short_window_refused(self, ref_ensemble_report):
         with pytest.raises(sl.StatisticsError):
             sl.power_spectrum(ref_ensemble_report, window=(500.0, 1050.0))
+
+    @pytest.mark.parametrize("shape", ["zero", "constant", "alternating"])
+    def test_unresolved_line_refused(self, shape):
+        # hand-built records whose periodogram is zero or peaks at the DC or
+        # the top bin: no half-maximum crossing brackets the peak
+        cfg = small_config(t_span=1600.0, burn_in=500.0)
+        t = np.arange(1601.0)
+        row = {"zero": np.zeros_like(t), "constant": np.ones_like(t),
+               "alternating": (-1.0) ** np.arange(t.size)}[shape]
+        x = np.vstack([row, 0.5 * row])
+        report = sl.EnsembleReport(config=cfg, t=t, x=x, p=x, drive=None,
+                                   diverged=[], moments={})
+        with pytest.raises(sl.StatisticsError):
+            sl.power_spectrum(report)
 
 
 @pytest.mark.slow
