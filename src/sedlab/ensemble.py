@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import rk4_core, synthesize_drive
+from .dynamics import _n_steps, _validate_step, rk4_core, synthesize_drive
 from .errors import (
     ConfigurationError,
     EscapeError,
@@ -93,6 +93,8 @@ class EnsembleConfig:
             raise ConfigurationError("burn_in must lie inside [0, t_span)")
         if self.chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
+        _validate_step(self.scales, self.dt, self.omega_cut)
+        _n_steps(self.t_span, self.dt)
 
     @property
     def decimate_stride(self) -> int:
@@ -188,7 +190,7 @@ def _member_ic(config: EnsembleConfig, member: int) -> tuple[float, float]:
 
 
 def _run_chunk(config: EnsembleConfig, mode_set: ModeSet, members: range):
-    n_steps = int(round(config.t_span / config.dt))
+    n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
     drive = np.empty((len(members), 2 * n_steps + 1))
     x0 = np.empty(len(members))
@@ -249,7 +251,7 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
             futures = [pool.submit(_run_chunk, config, mode_set, c) for c in chunks]
             results = [f.result() for f in futures]  # index order, not completion order
 
-    n_steps = int(round(config.t_span / config.dt))
+    n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
     t = config.dt * stride * np.arange(n_steps // stride + 1)
     x = np.vstack([r[0] for r in results])

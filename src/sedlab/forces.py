@@ -16,8 +16,19 @@ from .errors import ConfigurationError
 __all__ = ["ForceModel", "harmonic", "quartic", "polynomial"]
 
 
-def _polyval(coeffs: np.ndarray, x):
-    return np.polynomial.polynomial.polyval(x, coeffs)
+def _polyval(coeffs: tuple, x):
+    """Horner evaluation, bit-identical to np.polynomial.polynomial.polyval.
+
+    The steps are numpy's own (acc = c[-1] + x*0, then acc = c[k] + acc*x),
+    without its per-call coefficient conversion.  `coeffs` holds np.float64
+    scalars, so a float x returns np.float64 as polyval does.
+    """
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
 
 
 def _polyder(coeffs: np.ndarray) -> np.ndarray:
@@ -42,14 +53,15 @@ class ForceModel:
         if c.size < 2 or not np.any(c[1:] != 0):
             raise ConfigurationError("force must depend on x")
         # derivative coefficients are hot in the integrator loop; cache them
-        object.__setattr__(self, "_c0", c)
-        object.__setattr__(self, "_c1", _polyder(c))
-        object.__setattr__(self, "_c2", _polyder(_polyder(c)))
-        object.__setattr__(self, "_c3", _polyder(_polyder(_polyder(c))))
+        # as tuples of np.float64 for _polyval
+        object.__setattr__(self, "_c0", tuple(c))
+        object.__setattr__(self, "_c1", tuple(_polyder(c)))
+        object.__setattr__(self, "_c2", tuple(_polyder(_polyder(c))))
+        object.__setattr__(self, "_c3", tuple(_polyder(_polyder(_polyder(c)))))
 
     @property
     def _c(self) -> np.ndarray:
-        return self._c0
+        return np.asarray(self._c0)
 
     def f(self, x):
         return _polyval(self._c0, x)
@@ -65,7 +77,7 @@ class ForceModel:
 
     def potential(self, x):
         """V(x) = -int_0^x f + const, with V(equilibrium) = 0."""
-        vc = -np.polynomial.polynomial.polyint(self._c)
+        vc = tuple(-np.polynomial.polynomial.polyint(self._c))
         x_eq = self.equilibrium()
         return _polyval(vc, x) - _polyval(vc, x_eq)
 

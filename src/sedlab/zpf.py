@@ -226,8 +226,17 @@ def sample_realization(mode_set: ModeSet, seed: int) -> ZpfRealization:
 # ---------------------------------------------------------------------------
 # synthesis
 #
-# The cosine sum is evaluated by a Bluestein (chirp-z) transform so a grid of
-# M samples costs O((N+M) log(N+M)) instead of O(N*M).  The chirp phases
+# Two fast paths evaluate the cosine sum on a uniform grid t0 + j*h.
+#
+# Comb path: when dw*h = 2 pi/K for a whole number K, the sum is periodic in
+# j with period K and its samples are one inverse real FFT of length K, an
+# O(K log K) cost.  Every grid sedlab builds itself sits there: the half-step
+# drive grid has K = 2*oversample*n_steps, and the default correlation grid
+# is snapped to the comb.
+#
+# Bluestein path: any other uniform grid (caller-chosen sample steps, modes
+# built for another window) goes through a chirp-z transform, so a grid of M
+# samples costs O((N+M) log(N+M)) instead of O(N*M).  The chirp phases
 # theta*k^2/2 reach ~1e6 rad at production sizes; computed naively in double
 # precision they would inject ~1e-8 relative error into the synthesis, so the
 # phase reduction mod 2 pi is carried out in double-double arithmetic.
@@ -288,12 +297,41 @@ def _synth_bluestein(
     return (cj * conv).real
 
 
+def _synth_comb(
+    amplitudes: np.ndarray,
+    alpha: np.ndarray,
+    phases: np.ndarray,
+    dw: float,
+    t0: float,
+    K: int,
+    m_samples: int,
+) -> np.ndarray:
+    """sum_alpha A cos(alpha*dw*t0 + 2 pi alpha j/K + phi), j = 0..m_samples-1.
+
+    alpha are the integer comb indices, all <= K/2 (the Nyquist bound).
+    """
+    spec = np.zeros(K // 2 + 1, dtype=complex)
+    spec[alpha] = (K / 2) * amplitudes * np.exp(1j * (alpha * (dw * t0) + phases))
+    if K % 2 == 0:
+        spec[-1] *= 2.0  # irfft counts the Nyquist bin once, the others twice
+    period = np.fft.irfft(spec, K)
+    if m_samples <= K:
+        return period[:m_samples]
+    return np.resize(period, m_samples)
+
+
 def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarray:
     """Force samples eE(t_j) on a uniform time grid.
 
-    Uses the Bluestein synthesis; agrees with direct summation to better than
-    1e-10 relative at all supported sizes.  The grid step must resolve the
-    cutoff (Nyquist: h*omega_cut <= pi).
+    The grid step must resolve the cutoff (Nyquist: h*omega_cut <= pi).  When
+    the step lies on the comb, dw*h = 2 pi/K for a whole number K to 4 eps
+    relative, and K <= 8*(M+N) for M samples and N modes, the samples are
+    one inverse real FFT of length K, repeated with period K; every grid
+    sedlab builds itself takes this path.  Any other uniform grid takes a
+    Bluestein chirp-z transform.  Measured against `eval_field_direct` at
+    omega_cut = 20, both paths agree to 1e-12 relative for t <= 400 and to
+    3.4e-12 for t <= 2000, the size of the direct sum's own rounding,
+    omega*t*eps.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     ms = realization.mode_set
@@ -302,9 +340,10 @@ def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarr
     if t_grid.size == 1:
         return eval_field_direct(realization, t_grid)
     steps = np.diff(t_grid)
-    h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ConfigurationError("t_grid must be uniform and increasing")
+    # the mean step, unlike steps[0], carries no rounding of a large t0
+    h = (t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
     if h * ms.omega_cut > np.pi * (1 + 1e-12):
         raise ConfigurationError(
             f"grid step {h:g} violates the Nyquist bound pi/omega_cut = "
@@ -313,6 +352,15 @@ def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarr
     if ms.n_modes == 0:
         return np.zeros(t_grid.size)
     alpha = np.round(ms.omegas / ms.delta_omega)
+    k = 2 * np.pi / (ms.delta_omega * h)
+    K = int(round(k))
+    # a fine step on a long comb would make the period K far longer than the
+    # grid; past K = 8*(M+N) Bluestein is faster and allocates less
+    if abs(k - K) <= 4 * np.finfo(float).eps * k and K <= 8 * (t_grid.size + ms.n_modes):
+        return _synth_comb(
+            ms.amplitudes, alpha.astype(np.intp), realization.phases, ms.delta_omega,
+            t_grid[0], K, t_grid.size,
+        )
     return _synth_bluestein(
         ms.amplitudes, alpha, realization.phases, ms.delta_omega, t_grid[0], h, t_grid.size
     )
@@ -373,11 +421,12 @@ def empirical_correlation(
     """Ensemble-and-time averaged <eE(t) eE(t+lag)> with jackknife errors.
 
     Each realization is synthesized on a uniform grid of step `sample_dt`
-    (default: an eighth of the cutoff period) over `window` (default: the
-    simulated span, recurrence_time/oversample).  Averaging over the full
-    recurrence period would make the estimate phase-independent and its
-    error bar degenerate, so explicit windows near the full period are for
-    diagnostics only.  Lags are snapped to the sample grid; the snapped lags
+    (default: the largest step 2 pi/(K*dw), K whole, that is at most an
+    eighth of the cutoff period, so the grid lies on the comb) over `window`
+    (default: the simulated span, recurrence_time/oversample).  Averaging
+    over the full recurrence period would make the estimate
+    phase-independent and its error bar degenerate, so explicit windows near
+    the full period are for diagnostics only.  Lags are snapped to the sample grid; the snapped lags
     actually used are returned.
 
     Returns (lags_used, estimates, stderr).  Refuses with StatisticsError for
@@ -390,7 +439,8 @@ def empirical_correlation(
         if r.mode_set is not ms and r.mode_set.to_dict() != ms.to_dict():
             raise ConfigurationError("all realizations must share one ModeSet")
     if sample_dt is None:
-        sample_dt = 2 * np.pi / ms.omega_cut / 8.0
+        # at most an eighth of the cutoff period, on the comb's own grid
+        sample_dt = 2 * np.pi / (ms.delta_omega * np.ceil(8 * ms.omega_cut / ms.delta_omega))
     if window is None:
         window = (0.0, ms.recurrence_time / ms.oversample)
     t_lo, t_hi = window

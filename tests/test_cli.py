@@ -201,6 +201,15 @@ class TestSpectrumAndBalance:
         assert lines[0] == "quantity,measured,stderr,predicted"
         assert len(lines) == 6
 
+    def test_balance_partial_step_span_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force=FORCE, field=FIELD,
+            ensemble=small_ensemble_section(t_span=10.005, dt=0.01, burn_in=1.0),
+        )
+        assert cli.main(["balance", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "whole number of steps" in capsys.readouterr().err
+
 
 class TestCorrelateCommand:
     def test_correlation_table(self, tmp_path):

@@ -106,6 +106,16 @@ class TestRunEnsemble:
         with pytest.raises(sl.ConfigurationError):
             small_config(n_traj=0)
 
+    def test_partial_step_span_refused(self):
+        # 1000.5 steps: the run would silently end at t = 10.0
+        with pytest.raises(sl.ConfigurationError, match="whole number of steps"):
+            small_config(t_span=10.005, dt=0.01, burn_in=1.0)
+
+    def test_step_beyond_cutoff_bound_refused(self):
+        # dt*omega_cut = 1.0, past the integrator's bound 0.35
+        with pytest.raises(sl.ConfigurationError, match="dt\\*omega_cut"):
+            small_config(dt=0.05)
+
     def test_gaussian_initial_conditions(self):
         cfg = small_config(
             initial_conditions=sl.GaussianIC(x0_mean=0.0, x0_sd=1.0, p0_sd=1.0),
@@ -315,7 +325,7 @@ class TestErrorBarCalibration:
             # masters far apart: nearby masters share member-seed blocks
             cfg = sl.EnsembleConfig(
                 scales=scales, force=sl.harmonic(1.0), omega_cut=10.0,
-                n_traj=24, master_seed=1000 + 1_000_003 * seed, t_span=700.0, dt=0.03,
+                n_traj=24, master_seed=1000 + 1_000_003 * seed, t_span=699.99, dt=0.03,
                 burn_in=200.0, chunk_size=24,
             )
             rep = sl.run_ensemble(cfg)

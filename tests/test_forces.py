@@ -65,6 +65,25 @@ class TestForceModels:
         assert f2.kind == f.kind
 
 
+class TestHornerEvaluation:
+    @pytest.mark.parametrize("force", [
+        sl.harmonic(1.0), sl.quartic(1.0, 0.1),
+        sl.polynomial([0.3, -1.0, 0.2, -0.3, 0.01]),
+    ], ids=lambda f: f.kind)
+    def test_bit_identical_to_numpy_polyval(self, force):
+        P = np.polynomial.polynomial
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 0.3, -1.7])
+        c = np.asarray(force.coeffs, dtype=float)
+        for name in ("f", "fp", "fpp", "fppp"):
+            method = getattr(force, name)
+            with np.errstate(all="ignore"):
+                assert method(x).tobytes() == P.polyval(x, c).tobytes()
+            scalar = method(0.7)
+            assert type(scalar) is np.float64
+            assert scalar == P.polyval(0.7, c)
+            c = P.polyder(c)  # one order at a time, as the model caches them
+
+
 class TestScalesValidation:
     def test_positivity(self):
         with pytest.raises(sl.ConfigurationError):

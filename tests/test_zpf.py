@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sedlab as sl
+from sedlab import zpf
 from sedlab.rng import derive_seed
 
 from oracles import correlation_quad
@@ -134,6 +135,10 @@ def _manual_mode_set(omegas, amplitudes, delta_omega, scales=None):
     )
 
 
+def _refuse_bluestein(*args):
+    raise AssertionError("a grid on the comb took the Bluestein path")
+
+
 class TestFieldEvaluation:
     def test_single_mode_cosine(self):
         ms = _manual_mode_set([1.0], [2.0], 1.0)
@@ -161,6 +166,62 @@ class TestFieldEvaluation:
         t = 1.7 + 0.0137 * np.arange(6000)
         fast = sl.eval_field_grid(r, t)
         direct = sl.eval_field_direct(r, t)
+        assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize(
+        "oversample, omega_cut, K, t0, m_samples",
+        [
+            (1, 20.0, 5000, 0.0, 5001),  # even K, the drive grid's M = K + 1
+            (1, 20.0, 5001, 0.0, 3000),  # odd K, M < K
+            (2, 20.0, 1001, 3.7, 2600),  # M > 2K: the period repeats
+            (4, 20.0, 20000, 5.0, 12000),
+            (1, 160 * 2 * np.pi / 50.0, 320, 0.0, 1000),  # Nyquist bin filled
+        ],
+        ids=["even-K", "odd-K", "repeat", "oversample-4", "nyquist"],
+    )
+    def test_comb_synthesis_matches_direct_summation(
+        self, monkeypatch, oversample, omega_cut, K, t0, m_samples
+    ):
+        ms = sl.build_mode_set(sl.REF, omega_cut=omega_cut, total_time=50.0,
+                               oversample=oversample)
+        if omega_cut > 20.0:
+            assert ms.n_modes == K // 2
+        r = sl.sample_realization(ms, 17)
+
+        monkeypatch.setattr(zpf, "_synth_bluestein", _refuse_bluestein)
+        t = t0 + 2 * np.pi / (ms.delta_omega * K) * np.arange(m_samples)
+        fast = sl.eval_field_grid(r, t)
+        direct = sl.eval_field_direct(r, t)
+        assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize(
+        "total_time, t0, step, m_samples",
+        [
+            # off the comb by 1e-9: a comb-path result would be off by ~1e-6
+            (200.0, 5.0, 0.01 * (1 + 1e-9), 6000),
+            # on the comb, but K = 2e6 is far longer than M + N
+            (2000.0, 5.0, 0.001, 1000),
+            # t[1] - t[0] is off by 2e-12 relative, the mean step is not
+            (2000.0, 1000.0, 0.0137, 6000),
+        ],
+        ids=["off-by-1e-9", "short-grid-long-comb", "large-t0"],
+    )
+    def test_grid_off_the_comb_takes_bluestein(self, monkeypatch, total_time, t0, step,
+                                               m_samples):
+        ms = small_mode_set(total_time=total_time)
+        r = sl.sample_realization(ms, 41)
+        calls = []
+        bluestein = zpf._synth_bluestein
+
+        def spy(*args):
+            calls.append(args)
+            return bluestein(*args)
+
+        monkeypatch.setattr(zpf, "_synth_bluestein", spy)
+        t = t0 + step * np.arange(m_samples)
+        fast = sl.eval_field_grid(r, t)
+        direct = sl.eval_field_direct(r, t)
+        assert len(calls) == 1
         assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
 
     def test_grid_variance_matches_mode_sum(self):
@@ -201,6 +262,21 @@ class TestEmpiricalCorrelation:
         r = sl.sample_realization(ms, 1)
         with pytest.raises(sl.StatisticsError):
             sl.empirical_correlation([r], [0.0])
+
+    def test_default_sample_dt_on_the_comb(self, monkeypatch):
+        # old default 2 pi/(8 omega_cut) is off this comb: 8*omega_cut/dw = 5093.0
+        ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0, oversample=4.0)
+        reals = [sl.sample_realization(ms, s) for s in (1, 2)]
+
+        monkeypatch.setattr(zpf, "_synth_bluestein", _refuse_bluestein)
+        eighth = 2 * np.pi / (8 * ms.omega_cut)
+        lags, _, _ = sl.empirical_correlation(reals, [0.0, eighth, 1.0])
+        step = lags[1]  # stride 1: the step is within one comb bin of eighth
+        assert 0 < step <= eighth
+        k = 2 * np.pi / (ms.delta_omega * step)
+        assert abs(k - round(k)) <= 4 * np.finfo(float).eps * k
+        strides = lags / step
+        np.testing.assert_allclose(strides, np.round(strides), rtol=0, atol=1e-9)
 
     def test_tau_zero_exactly_zero(self):
         scales = sl.PhysicalScales(tau=0.0)
