@@ -4,7 +4,8 @@ Every experiment is a reproducible batch command reading one JSON config and
 writing machine-readable reports plus a manifest.  Exit codes are stable API:
 
     0  success
-    2  configuration error (schema violation, bad parameters)
+    2  configuration error (schema violation, bad parameters) or a configured
+       hard limit exceeded (mode count, memory)
     3  numeric divergence (integration blew up or escaped)
     4  statistical precondition refused (window too short, no error bar)
     5  internal error
@@ -41,6 +42,7 @@ from .errors import (
     ConfigurationError,
     EscapeError,
     IntegrationDivergedError,
+    ResourceLimitError,
     SedlabError,
     StatisticsError,
 )
@@ -322,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         _HANDLERS[args.command](cfg, out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationDivergedError, EscapeError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)

@@ -13,15 +13,19 @@ drive is pre-synthesized on a half-step grid so the midpoint stages use exact
 field samples; no interpolation error enters and runs are reproducible
 bit-for-bit from (config, seed).
 
-For a linear force (the harmonic reference included) one RK4 step is an
-affine map of (x, p), so the same discretization is run as an exact linear
-recurrence in the eigenbasis of that map instead of a Python step loop; it
-agrees with the loop to rounding (about 1e-12 relative).  Nonlinear forces
-use the step loop.
+Nonlinear forces use a step loop that runs one member at a time on Python
+floats.  It performs numpy's float64 operations in numpy's order, so it is
+bit-identical to a vectorized numpy loop over the batch, and a member's
+trajectory never depends on the other members of its batch.  For a linear
+force (the harmonic reference included) one RK4 step is an affine map of
+(x, p), read off that same step loop, so the same discretization is run as
+an exact linear recurrence in the eigenbasis of the map instead; it agrees
+with the loop to rounding (about 1e-12 relative).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,30 +107,6 @@ def _validate_stride(store_stride: int):
         raise ConfigurationError(f"store_stride must be >= 1, got {store_stride}")
 
 
-def _rk4_step(fm: ForceModel, m: float, tau: float, dt: float, x, p, e0, e1, e2):
-    """One classical RK4 step of the order-reduced equation.
-
-    e0, e1, e2 are the drive at the start, midpoint and end of the step.
-    """
-    k1x = p / m
-    k1p = fm.f(x) + tau * fm.fp(x) * (p / m) + e0
-    xa = x + 0.5 * dt * k1x
-    pa = p + 0.5 * dt * k1p
-    k2x = pa / m
-    k2p = fm.f(xa) + tau * fm.fp(xa) * (pa / m) + e1
-    xb = x + 0.5 * dt * k2x
-    pb = p + 0.5 * dt * k2p
-    k3x = pb / m
-    k3p = fm.f(xb) + tau * fm.fp(xb) * (pb / m) + e1
-    xc = x + dt * k3x
-    pc = p + dt * k3p
-    k4x = pc / m
-    k4p = fm.f(xc) + tau * fm.fp(xc) * (pc / m) + e2
-    x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    p = p + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return x, p
-
-
 def rk4_core(
     scales: PhysicalScales,
     force: ForceModel,
@@ -138,13 +118,14 @@ def rk4_core(
     store_stride: int = 1,
     t0: float = 0.0,
 ):
-    """Vectorized RK4 over a batch of trajectories sharing (force, dt).
+    """Classical RK4 over a batch of trajectories sharing (force, dt).
 
     drive_half has shape (batch, 2*n_steps+1).  Returns decimated (x, p,
     drive) arrays of shape (batch, n_steps//store_stride + 1).  Raises
     EscapeError at the first step where |x| leaves the force model's bound,
     and IntegrationDivergedError on a non-finite state; a batch raises at
-    its earliest failure.
+    its earliest failure.  Members are independent: a member's row does not
+    depend on the rest of its batch.
 
     A linear force makes the RK4 step an affine map of the state, which is
     run as an exact recurrence (_rk4_affine); other forces, and linear ones
@@ -161,33 +142,100 @@ def rk4_core(
                      store_stride, t0)
 
 
+def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
+              p: float, e: list, n_steps: int, store_stride: int, stop: int):
+    """Classical RK4 of the order-reduced equation for one member, on floats.
+
+    e holds the member's drive on the half-step grid, so step j uses
+    e[2j-2], e[2j-1] (both midpoint stages) and e[2j].  Steps 1..stop of
+    n_steps are run; the state after every store_stride-th step is kept.
+    Returns (xs, ps, fail), xs and ps starting with the initial state and
+    fail None or the member's first failure (step, kind, |x|): kind 0 an
+    escape beyond `bound` (None for no bound), checked every step, kind 1 a
+    non-finite state, checked every _CHECK_EVERY steps and at step n_steps.
+
+    f and f' are evaluated by one Horner loop over coefficient pairs, f'
+    padded with a zero at the top power, in the order of operations of
+    np.polynomial.polynomial.polyval (acc = c[-1] + x*0, then
+    acc = c[k] + acc*x); each slope is k_p = f + tau f' (p/m) + e with
+    p/m = k_x.  Python floats add, multiply and divide as numpy's float64
+    does, so the result is bit-identical to a numpy evaluation of the same
+    expressions.
+    """
+    pairs = list(zip([float(c) for c in fm._c0[::-1]],
+                     [0.0] + [float(c) for c in fm._c1[::-1]]))
+    (cf, cg), rest = pairs[0], pairs[1:]
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    xs, ps = [x], [p]
+    for j in range(1, stop + 1):
+        e0, e1, e2 = e[2 * j - 2], e[2 * j - 1], e[2 * j]
+        z = x * 0
+        f, g = cf + z, cg + z
+        for a, b in rest:
+            f, g = a + f * x, b + g * x
+        k1x = p / m
+        k1p = f + tau * g * k1x + e0
+        xa = x + half * k1x
+        pa = p + half * k1p
+        z = xa * 0
+        f, g = cf + z, cg + z
+        for a, b in rest:
+            f, g = a + f * xa, b + g * xa
+        k2x = pa / m
+        k2p = f + tau * g * k2x + e1
+        xb = x + half * k2x
+        pb = p + half * k2p
+        z = xb * 0
+        f, g = cf + z, cg + z
+        for a, b in rest:
+            f, g = a + f * xb, b + g * xb
+        k3x = pb / m
+        k3p = f + tau * g * k3x + e1
+        xc = x + dt * k3x
+        pc = p + dt * k3p
+        z = xc * 0
+        f, g = cf + z, cg + z
+        for a, b in rest:
+            f, g = a + f * xc, b + g * xc
+        k4x = pc / m
+        k4p = f + tau * g * k4x + e2
+        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        p = p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+        if bound is not None and not abs(x) <= bound:
+            return xs, ps, (j, 0, abs(x) if math.isfinite(x) else math.nan)
+        if j % _CHECK_EVERY == 0 or j == n_steps:
+            if not (math.isfinite(x) and math.isfinite(p)):
+                return xs, ps, (j, 1, math.nan)
+        if j % store_stride == 0:
+            xs.append(x)
+            ps.append(p)
+    return xs, ps, None
+
+
 def _rk4_loop(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0):
-    """rk4_core as an explicit step loop, for any force; the reference path."""
-    m = scales.m
-    tau = scales.tau
-    bound = force.escape_bound
-    x = np.array(x0, dtype=np.float64, copy=True)
-    p = np.array(p0, dtype=np.float64, copy=True)
+    """rk4_core as an explicit step loop, for any force; the reference path.
+
+    Members step one at a time (_rk4_lane); once one has failed, the rest
+    stop at its step, which is as far as they can still change the batch's
+    earliest failure.
+    """
     n_out = n_steps // store_stride + 1
-    xs = np.empty((x.size, n_out))
-    ps = np.empty((x.size, n_out))
-    es = np.empty((x.size, n_out))
-    xs[:, 0], ps[:, 0], es[:, 0] = x, p, drive_half[:, 0]
-    k_out = 1
-    # overflow in a diverging run is reported via IntegrationDivergedError,
-    # not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            x, p = _rk4_step(force, m, tau, dt, x, p, drive_half[:, 2 * j],
-                             drive_half[:, 2 * j + 1], drive_half[:, 2 * j + 2])
-            if bound is not None and np.any(~(np.abs(x) <= bound)):
-                _raise_escape(bound, t0 + (j + 1) * dt, float(np.nanmax(np.abs(x))))
-            if (j + 1) % _CHECK_EVERY == 0 or j == n_steps - 1:
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-                    _raise_diverged(t0 + (j + 1) * dt)
-            if (j + 1) % store_stride == 0:
-                xs[:, k_out], ps[:, k_out], es[:, k_out] = x, p, drive_half[:, 2 * (j + 1)]
-                k_out += 1
+    xs = np.empty((len(x0), n_out))
+    ps = np.empty((len(x0), n_out))
+    es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
+    starts = zip(np.asarray(x0, dtype=np.float64).tolist(),
+                 np.asarray(p0, dtype=np.float64).tolist())
+    fail = None  # (step, kind, |x|) of the earliest failure in the batch
+    for row, (x, p) in enumerate(starts):
+        stop = n_steps if fail is None else fail[0]
+        xr, pr, first = _rk4_lane(force, scales.m, scales.tau, dt, force.escape_bound,
+                                  x, p, drive_half[row].tolist(), n_steps,
+                                  store_stride, stop)
+        fail = _earlier(fail, first)
+        if fail is None:
+            xs[row], ps[row] = xr, pr
+    _raise_failure(fail, force.escape_bound, t0, dt)
     return xs, ps, es
 
 
@@ -203,21 +251,35 @@ def _raise_diverged(t_fail: float):
     raise IntegrationDivergedError(f"non-finite state near t = {t_fail:g}", t_fail=t_fail)
 
 
+def _raise_failure(fail, bound, t0: float, dt: float):
+    """Raise the batch's earliest failure, if any, at its time t0 + step*dt."""
+    if fail is None:
+        return
+    step, kind, worst = fail
+    if kind == 0:
+        _raise_escape(bound, t0 + step * dt, worst)
+    _raise_diverged(t0 + step * dt)
+
+
 def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0):
     """rk4_core for a linear force, as the exact recurrence of the RK4 map.
 
     With f linear, one step is s' = M s + B (e0, e1/2, e1) + c for s = (x, p).
-    M, B and c are read off _rk4_step applied to basis states, so this is the
-    same discretization as the loop, with rounding in another order.  In the
-    eigenbasis of M the recurrence splits into two first-order filters, run
-    by lfilter one member at a time.  Returns None, leaving the batch to the
-    loop, when M is too close to a Jordan block to diagonalize accurately.
+    M, B and c are read off one _rk4_lane step from basis states, so this is
+    the same discretization as the loop, with rounding in another order.  In
+    the eigenbasis of M the recurrence splits into two first-order filters,
+    run by lfilter one member at a time.  Returns None, leaving the batch to
+    the loop, when M is too close to a Jordan block to diagonalize accurately.
     """
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
     # probe is the zero state, whose image is c
-    x1, p1 = _rk4_step(force, scales.m, scales.tau, dt, *np.eye(6)[:5])
-    c = np.array([x1[5], p1[5]])
-    cols = np.array([x1[:5], p1[:5]]) - c[:, None]  # [M | B]
+    images = []
+    for x, p, *e in np.eye(6)[:5].T.tolist():
+        xs, ps, _ = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1, 1)
+        images.append((xs[1], ps[1]))
+    images = np.array(images).T
+    c = images[:, 5]
+    cols = images[:, :5] - c[:, None]  # [M | B]
     lam, vec = np.linalg.eig(cols[:, :2])
     if np.linalg.cond(vec) > _MAX_EIGVEC_COND:
         return None
@@ -241,37 +303,42 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0
                 for k in range(2)
             ])
             state = (vec @ z).real  # (x, p) after steps 1..n_steps
-            fail = _earliest_failure(fail, state, bound)
+            fail = _earlier(fail, _first_failure(state, bound))
             xs[row, 1:] = state[0, store_stride - 1 :: store_stride]
             ps[row, 1:] = state[1, store_stride - 1 :: store_stride]
-    if fail is not None:
-        step, kind, worst = fail
-        if kind == 0:
-            _raise_escape(bound, t0 + step * dt, worst)
-        _raise_diverged(t0 + step * dt)
+    _raise_failure(fail, bound, t0, dt)
     return xs, ps, es
 
 
-def _earliest_failure(fail, state, bound):
-    """Fold one member's first failing step into the batch's earliest one.
+def _first_failure(state, bound):
+    """One member's first failure (step, kind, |x|) in its (x, p) series.
 
-    Failures order by (step, kind), kind 0 an escape and 1 a non-finite
-    state, as the loop checks them; the reported |x| of an escape is the
-    largest finite one among the members escaping at that step.
+    Returns None when there is none; kind 0 is an escape and 1 a non-finite
+    state, as the loop orders them at one step.
     """
     x = state[0]
     bad = ~np.all(np.isfinite(state), axis=0)
     if bound is not None:
         bad |= ~(np.abs(x) <= bound)
     if not bad.any():
-        return fail
+        return None
     i = int(np.argmax(bad))
     kind = 0 if bound is not None and not abs(x[i]) <= bound else 1
-    worst = abs(x[i]) if np.isfinite(x[i]) else np.nan
-    if fail is None or (i + 1, kind) < fail[:2]:
-        return i + 1, kind, worst
-    if (i + 1, kind) == fail[:2]:
-        return i + 1, kind, float(np.fmax(fail[2], worst))
+    return i + 1, kind, abs(x[i]) if np.isfinite(x[i]) else np.nan
+
+
+def _earlier(fail, first):
+    """Fold one member's first failure into the batch's earliest one.
+
+    Failures order by (step, kind); the reported |x| of an escape is the
+    largest finite one among the members escaping at that step.
+    """
+    if first is None:
+        return fail
+    if fail is None or first[:2] < fail[:2]:
+        return first
+    if first[:2] == fail[:2]:
+        return (*fail[:2], float(np.fmax(fail[2], first[2])))
     return fail
 
 
@@ -507,21 +574,26 @@ def hierarchy_terms(
     out = np.empty((6, n_out))
     out[:, 0] = state
     k_out = 1
-    for j in range(n_steps):
-        e0, e1, e2 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
-        k1 = deriv(state, e0)
-        k2 = deriv(state + 0.5 * dt * k1, e1)
-        k3 = deriv(state + 0.5 * dt * k2, e1)
-        k4 = deriv(state + dt * k3, e2)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (j + 1) % store_stride == 0:
-            out[:, k_out] = state
-            k_out += 1
-        if (j + 1) % _CHECK_EVERY == 0 and not np.all(np.isfinite(state)):
-            raise IntegrationDivergedError(
-                f"non-finite hierarchy state near t = {(j + 1) * dt:g}",
-                t_fail=(j + 1) * dt,
-            )
+    # overflow in a diverging run is reported via IntegrationDivergedError,
+    # not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            e0, e1, e2 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
+            k1 = deriv(state, e0)
+            k2 = deriv(state + 0.5 * dt * k1, e1)
+            k3 = deriv(state + 0.5 * dt * k2, e1)
+            k4 = deriv(state + dt * k3, e2)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (j + 1) % store_stride == 0:
+                out[:, k_out] = state
+                k_out += 1
+            if ((j + 1) % _CHECK_EVERY == 0 or j == n_steps - 1) and not np.all(
+                np.isfinite(state)
+            ):
+                raise IntegrationDivergedError(
+                    f"non-finite hierarchy state near t = {(j + 1) * dt:g}",
+                    t_fail=(j + 1) * dt,
+                )
     t = dt * store_stride * np.arange(n_out)
     return {
         "t": t,

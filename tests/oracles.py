@@ -8,8 +8,11 @@ library paths it checks.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+
+from sedlab.errors import EscapeError, IntegrationDivergedError
 
 
 def response_moment_quad(scales, omega_cut: float, weight_power: int = 0,
@@ -189,3 +192,57 @@ def dpx_raw_quad(scales, omega_cut: float) -> float:
         val, _ = quad(integrand, a, b, limit=500)
         total += val
     return total
+
+
+def rk4_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1,
+                  t0=0.0):
+    """Classical RK4 of m x'' = f(x) + tau f'(x) x' + eE(t) as a numpy batch loop.
+
+    Every member steps together, f and f' by polyval on the force's
+    coefficients.  drive_half holds each member's drive at t0 + k*dt/2.
+    Returns decimated (x, p, drive) like rk4_core.  Escape beyond the force's
+    escape_bound is checked every step, finiteness every 256 steps and at
+    the last; the batch raises EscapeError (|x| the largest finite one
+    among the escaping members, NaN if none) or IntegrationDivergedError at
+    its first failing step.
+    """
+    m, tau, bound = scales.m, scales.tau, force.escape_bound
+    c = np.asarray(force.coeffs, dtype=np.float64)
+    cp = P.polyder(c)
+
+    def kp(x, p, e):
+        return P.polyval(x, c) + tau * P.polyval(x, cp) * (p / m) + e
+
+    x = np.array(x0, dtype=np.float64)
+    p = np.array(p0, dtype=np.float64)
+    n_out = n_steps // store_stride + 1
+    xs, ps, es = (np.empty((x.size, n_out)) for _ in range(3))
+    xs[:, 0], ps[:, 0], es[:, 0] = x, p, drive_half[:, 0]
+    k_out = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n_steps + 1):
+            e0, e1, e2 = (drive_half[:, 2 * j - 2 + k] for k in range(3))
+            k1x, k1p = p / m, kp(x, p, e0)
+            xa, pa = x + 0.5 * dt * k1x, p + 0.5 * dt * k1p
+            k2x, k2p = pa / m, kp(xa, pa, e1)
+            xb, pb = x + 0.5 * dt * k2x, p + 0.5 * dt * k2p
+            k3x, k3p = pb / m, kp(xb, pb, e1)
+            xc, pc = x + dt * k3x, p + dt * k3p
+            k4x, k4p = pc / m, kp(xc, pc, e2)
+            x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p = p + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+            t_fail = t0 + j * dt
+            if bound is not None and not np.all(np.abs(x) <= bound):
+                worst = np.abs(x[~(np.abs(x) <= bound)])
+                worst = worst[np.isfinite(worst)]
+                worst = float(worst.max()) if worst.size else np.nan
+                raise EscapeError(f"escape near t = {t_fail:g}", t_fail=t_fail, x=worst)
+            if (j % 256 == 0 or j == n_steps) and not (
+                np.all(np.isfinite(x)) and np.all(np.isfinite(p))
+            ):
+                raise IntegrationDivergedError(f"non-finite near t = {t_fail:g}",
+                                               t_fail=t_fail)
+            if j % store_stride == 0:
+                xs[:, k_out], ps[:, k_out], es[:, k_out] = x, p, drive_half[:, 2 * j]
+                k_out += 1
+    return xs, ps, es

@@ -135,6 +135,15 @@ class TestEnsembleCommand:
         )
         assert cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_mode_count_limit_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force=FORCE, field=FIELD,
+            ensemble=small_ensemble_section(t_span=1e9),
+        )
+        assert cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("resource limit:")
+
 
 class TestMatrixCommand:
     def test_oscillator_report(self, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 import sedlab as sl
 from sedlab import dynamics
 
+from oracles import rk4_reference
+
 
 def _ref_realization(total_time, seed=4242, oversample=2.0, omega_cut=20.0):
     ms = sl.build_mode_set(sl.REF, omega_cut=omega_cut, total_time=total_time,
@@ -173,6 +175,104 @@ class TestAffineRecurrence:
         # the loop looks only every _CHECK_EVERY steps, and its RK4 stages
         # overflow a few steps before the state itself does
         assert abs(fast - ref) < dynamics._CHECK_EVERY * dt
+
+
+def _bits(a):
+    """float64 array as its bit patterns: equality is bit for bit, signed
+    zeros and NaN payloads included."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestStepLoop:
+    """rk4_core's per-member step loop against the numpy batch loop of
+    tests/oracles.py: the same arithmetic, so the same bits."""
+
+    def _compare(self, force, drive, x0, p0, dt, n_steps, stride=1, t0=0.0,
+                 scales=sl.REF):
+        args = (scales, force, drive, np.asarray(x0, float), np.asarray(p0, float),
+                dt, n_steps, stride, t0)
+        fast, ref = dynamics.rk4_core(*args), rk4_reference(*args)
+        assert fast[0].shape == (len(x0), n_steps // stride + 1)
+        for a, b in zip(fast, ref):
+            assert np.array_equal(_bits(a), _bits(b))
+        return fast
+
+    def test_quartic_batch_offset_start_and_stride(self):
+        dt, t0 = 0.016, 3.7
+        drive, n_steps = _driven_rows(sl.REF, 100.0, dt, 16, t0=t0)
+        self._compare(sl.quartic(1.0, 0.1), drive, np.linspace(-1.5, 1.5, 16),
+                      np.linspace(0.4, -0.2, 16), dt, n_steps, stride=7, t0=t0)
+
+    def test_degree_five_single_member(self):
+        force = sl.polynomial([0.1, -1.0, 0.05, -0.2, 0.0, -0.01])
+        drive, n_steps = _driven_rows(sl.REF, 50.0, 0.01, 1)
+        self._compare(force, drive, [0.7], [-0.2], 0.01, n_steps)
+
+    def test_strongly_damped_free_decay(self):
+        # one ulp in a stage slope rarely survives the dt-weighted update;
+        # without drive and with a large tau f'(x) p/m it does in a few of
+        # these members, so a reordered stage formula shows here
+        scales = sl.PhysicalScales(tau=0.05)
+        n_steps = 1000
+        self._compare(sl.quartic(1.0, 0.1), np.zeros((32, 2 * n_steps + 1)),
+                      np.linspace(-2.0, 2.0, 32), np.full(32, 0.3), 0.05, n_steps,
+                      scales=scales)
+
+    def test_divergence_after_the_last_check_block(self):
+        # from x = 1e-6 the state first turns non-finite at step 334, past
+        # the last _CHECK_EVERY boundary; the check at the last step sees it
+        repulsive = sl.polynomial([0.0, 25.0, 0.0, 1.0])
+        dt, n_steps = 0.01, 400
+        args = (sl.REF, repulsive, np.zeros((2, 2 * n_steps + 1)), np.array([0.0, 1e-6]),
+                np.zeros(2), dt, n_steps, 1, 0.0)
+        with pytest.raises(sl.IntegrationDivergedError) as fast:
+            dynamics.rk4_core(*args)
+        with pytest.raises(sl.IntegrationDivergedError) as ref:
+            rk4_reference(*args)
+        assert fast.value.t_fail == ref.value.t_fail == n_steps * dt
+
+    def test_equilibrium_start_with_zero_drive(self):
+        n_steps = 1000
+        x, p, _ = self._compare(sl.quartic(1.0, 0.1), np.zeros((2, 2 * n_steps + 1)),
+                                [0.0, -0.0], [0.0, 0.0], 0.01, n_steps)
+        assert not np.any(x) and not np.any(p)
+
+    def test_escape_in_a_mixed_batch(self):
+        # anti-confining beyond |x| = sqrt(2): member 1 escapes first,
+        # member 2 later, member 0 stays bound
+        runaway = sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0)
+        dt, n_steps, t0 = 0.01, 5000, 2.0
+        drive = np.zeros((3, 2 * n_steps + 1))
+        x0 = np.array([0.5, 2.5, 1.6])
+        args = (drive, x0, np.zeros(3), dt, n_steps, 1, t0)
+        with pytest.raises(sl.EscapeError) as batch:
+            dynamics.rk4_core(sl.REF, runaway, *args)
+        with pytest.raises(sl.EscapeError) as ref:
+            rk4_reference(sl.REF, runaway, *args)
+        with pytest.raises(sl.EscapeError) as alone:
+            dynamics.rk4_core(sl.REF, runaway, drive[1:2], x0[1:2], np.zeros(1), dt,
+                              n_steps, 1, t0)
+        assert t0 < batch.value.t_fail < t0 + n_steps * dt
+        assert batch.value.t_fail == alone.value.t_fail == ref.value.t_fail
+        assert batch.value.x == alone.value.x == ref.value.x
+
+    def test_escapes_at_one_step_report_the_largest_x(self):
+        runaway = sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0)
+        dt, n_steps = 0.01, 5000
+
+        def escape(integrate, *x0):
+            n = len(x0)
+            with pytest.raises(sl.EscapeError) as exc:
+                integrate(sl.REF, runaway, np.zeros((n, 2 * n_steps + 1)), np.array(x0),
+                          np.zeros(n), dt, n_steps)
+            return exc.value
+
+        big, small = escape(dynamics.rk4_core, 2.5 + 1e-7), escape(dynamics.rk4_core, 2.5)
+        assert big.t_fail == small.t_fail and big.x > small.x
+        for x0 in ((2.5 + 1e-7, 2.5), (2.5, 2.5 + 1e-7)):
+            for integrate in (dynamics.rk4_core, rk4_reference):
+                batch = escape(integrate, *x0)
+                assert (batch.t_fail, batch.x) == (big.t_fail, big.x)
 
 
 class TestStepGridValidation:
@@ -355,6 +455,14 @@ class TestHierarchy:
         assert x2_1 > 0.0
         assert x2_2 / x2_1 == pytest.approx(4.0, rel=0.15)  # second-order term
         assert 6.5 <= r_2 / r_1 <= 9.0  # cubic residual
+
+    def test_divergence_after_the_last_check_block_raises(self):
+        # 7100 steps: the state turns non-finite within the last 188, past
+        # the last _CHECK_EVERY boundary at step 6912
+        r = _ref_realization(150.0, seed=3)
+        with pytest.raises(sl.IntegrationDivergedError) as exc:
+            sl.hierarchy_terms(sl.REF, sl.polynomial([0.0, 25.0]), r, 1.0, 0.0, 71.0, 0.01)
+        assert 0.0 < exc.value.t_fail <= 71.0
 
     def test_zeroth_component_matches_zeroth_order(self):
         force = sl.quartic(1.0, 0.1)

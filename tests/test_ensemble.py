@@ -63,11 +63,13 @@ class TestRunEnsemble:
         for name in a.moments:
             assert np.array_equal(a.moments[name][0], b.moments[name][0])
 
-    def test_chunking_invariance(self):
+    @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
+                             ids=["harmonic", "quartic"])
+    def test_chunking_invariance(self, force):
         # chunk size is a config field, but lanes are independent:
         # per-trajectory series do not depend on the chunking
-        a = sl.run_ensemble(small_config(chunk_size=2))
-        b = sl.run_ensemble(small_config(chunk_size=6))
+        a = sl.run_ensemble(small_config(force=force, chunk_size=2))
+        b = sl.run_ensemble(small_config(force=force, chunk_size=6))
         assert np.array_equal(a.x, b.x)
 
     def test_worker_count_env_override(self, monkeypatch):
