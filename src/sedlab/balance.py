@@ -16,10 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .ensemble import EnsembleReport, _finite_members, _require_window
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError
 from .matrices import TransitionMatrix, _check_trusted
 from .zpf import PhysicalScales
 
@@ -180,7 +179,6 @@ def trace_dpx(
     scales: PhysicalScales,
     n: int,
     omega_cut: float,
-    exclusion: float | None = None,
     subtract_free_particle: bool = True,
 ) -> float:
     """Cutoff-dependent position-diffusion trace (radiative level-shift trace).
@@ -195,54 +193,32 @@ def trace_dpx(
     what remains is the state-dependent, logarithmically growing part.  With
     subtract_free_particle=False the counter-term is omitted; that raw value
     grows like -tau hbar W^2/(2 pi) and is what the simulated stationary
-    e<x E> correlator measures.  The principal value is computed by symmetric
-    exclusion windows of half-width `exclusion` (default 1e-3 omega0)
-    Richardson-extrapolated to zero width.  The result is an explicit
-    function of the cutoff and must be reported with it.
+    e<x E> correlator measures.  The integrand is a^2 w/(a^2 - w^2) with
+    a = |omega_kn|, whose principal value is -(a^2/2) ln((W^2 - a^2)/a^2), so
+
+        D_px(n; W) = -(m tau / pi) sum_k |x_nk|^2 omega_kn^3
+                       ln((W^2 - omega_kn^2) / omega_kn^2),
+
+    Bethe's logarithm (H. A. Bethe, Phys. Rev. 72, 339 (1947)).  The result
+    is an explicit function of the cutoff and must be reported with it.
     """
     _check_trusted(tm, n, "trace_dpx")
-    if exclusion is None:
-        exclusion = 1e-3 * scales.omega0
     m, tau = scales.m, scales.tau
     omegas = tm.omegas[n]
     x2 = np.abs(tm.x_elems[n]) ** 2
-    active = x2 > 1e-14
-    poles = np.abs(omegas[active])
-    poles = poles[poles > 1e-12]
-    if poles.size and omega_cut <= poles.max():
+    lines = (x2 > 1e-14) & (np.abs(omegas) > 1e-12)
+    w_kn = omegas[lines]
+    a = np.abs(w_kn)
+    if a.size and omega_cut <= a.max():
         raise ConfigurationError(
             f"omega_cut = {omega_cut:g} must exceed every contributing |omega_kn| "
-            f"(max {poles.max():g})"
+            f"(max {a.max():g})"
         )
     if tau == 0.0:
         return 0.0
 
-    total = 0.0
-    for k in np.nonzero(active)[0]:
-        w_kn = omegas[k]
-        if abs(w_kn) < 1e-12:
-            continue
-        a = abs(w_kn)
-
-        def integrand(w, a2=w_kn**2):
-            return w**3 / (a2 - w**2) + w
-
-        def excluded(delta):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", IntegrationWarning)
-                try:
-                    v1, _ = quad(integrand, 0.0, a - delta, limit=400)
-                    v2, _ = quad(integrand, a + delta, omega_cut, limit=400)
-                except IntegrationWarning as exc:  # pragma: no cover - defensive
-                    raise NumericsError(
-                        f"principal-value quadrature failed near omega = {a:g}: {exc}"
-                    ) from exc
-            return v1 + v2
-
-        # symmetric-exclusion error is linear in the window width
-        pv = 2.0 * excluded(exclusion / 2) - excluded(exclusion)
-        total += x2[k] * w_kn * pv
-    value = float(2 * m * tau / np.pi * total)
+    bethe_log = np.log((omega_cut - a) * (omega_cut + a) / a**2)
+    value = float(-(m * tau / np.pi) * np.sum(x2[lines] * w_kn**3 * bethe_log))
     if not subtract_free_particle:
         # undo the counter-term using the matrix's own sum rule value
         # (equal to hbar/2m for trusted states)

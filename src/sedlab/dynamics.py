@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.linalg.blas import ztbsv
 
 from .errors import ConfigurationError, EscapeError, IntegrationDivergedError
 from .forces import ForceModel
@@ -133,6 +133,11 @@ def rk4_core(
     which checks finiteness every _CHECK_EVERY steps.
     """
     _validate_stride(store_stride)
+    if np.shape(drive_half) != (len(x0), 2 * n_steps + 1):
+        raise ConfigurationError(
+            f"drive_half must have shape (batch, 2*n_steps+1) = "
+            f"({len(x0)}, {2 * n_steps + 1}), got {np.shape(drive_half)}"
+        )
     if not np.any(force._c2):
         out = _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps,
                           store_stride, t0)
@@ -203,7 +208,7 @@ def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
         x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
         p = p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
         if bound is not None and not abs(x) <= bound:
-            return xs, ps, (j, 0, abs(x) if math.isfinite(x) else math.nan)
+            return xs, ps, (j, 0, abs(x))
         if j % _CHECK_EVERY == 0 or j == n_steps:
             if not (math.isfinite(x) and math.isfinite(p)):
                 return xs, ps, (j, 1, math.nan)
@@ -267,9 +272,11 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0
     With f linear, one step is s' = M s + B (e0, e1/2, e1) + c for s = (x, p).
     M, B and c are read off one _rk4_lane step from basis states, so this is
     the same discretization as the loop, with rounding in another order.  In
-    the eigenbasis of M the recurrence splits into two first-order filters,
-    run by lfilter one member at a time.  Returns None, leaving the batch to
-    the loop, when M is too close to a Jordan block to diagonalize accurately.
+    the eigenbasis of M the recurrence splits into two first-order ones,
+    z[j] - lam z[j-1] = w[j], each a unit lower-bidiagonal triangular system
+    solved in place by BLAS ztbsv, one member at a time.  Returns None,
+    leaving the batch to the loop, when M is too close to a Jordan block to
+    diagonalize accurately.
     """
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
     # probe is the zero state, whose image is c
@@ -292,17 +299,26 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0
     ps = np.empty((len(x0), n_out))
     xs[:, 0], ps[:, 0] = x0, p0
     es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
+    # banded storage of each mode's matrix: unit diagonal (row 0, not read)
+    # and -lam on the subdiagonal (row 1)
+    bands = []
+    for k in range(2):
+        band = np.zeros((2, n_steps), dtype=complex, order="F")
+        band[1] = -lam[k]
+        bands.append(band)
     fail = None  # (step, kind, |x|) of the earliest failure in the batch
     with np.errstate(over="ignore", invalid="ignore"):
         for row in range(len(x0)):
             e = drive_half[row]
             w = gain @ np.array([e[0:-1:2], e[1::2], e[2::2]]) + offset[:, None]
+            # complex, so that ztbsv solves each row in place (M may have
+            # real eigenvalues, and then w comes out real)
+            w = w.astype(complex, copy=False)
             z0 = vinv @ np.array([xs[row, 0], ps[row, 0]])
-            z = np.array([
-                lfilter([1.0], [1.0, -lam[k]], w[k], zi=[lam[k] * z0[k]])[0]
-                for k in range(2)
-            ])
-            state = (vec @ z).real  # (x, p) after steps 1..n_steps
+            w[:, 0] += lam * z0
+            for k in range(2):
+                ztbsv(1, bands[k], w[k], lower=1, diag=1, overwrite_x=1)
+            state = (vec @ w).real  # (x, p) after steps 1..n_steps
             fail = _earlier(fail, _first_failure(state, bound))
             xs[row, 1:] = state[0, store_stride - 1 :: store_stride]
             ps[row, 1:] = state[1, store_stride - 1 :: store_stride]
@@ -324,14 +340,15 @@ def _first_failure(state, bound):
         return None
     i = int(np.argmax(bad))
     kind = 0 if bound is not None and not abs(x[i]) <= bound else 1
-    return i + 1, kind, abs(x[i]) if np.isfinite(x[i]) else np.nan
+    return i + 1, kind, float(abs(x[i]))
 
 
 def _earlier(fail, first):
     """Fold one member's first failure into the batch's earliest one.
 
     Failures order by (step, kind); the reported |x| of an escape is the
-    largest finite one among the members escaping at that step.
+    largest one among the members escaping at that step (inf for an
+    overflow), NaN only when every one of them has a NaN x.
     """
     if first is None:
         return fail
@@ -458,7 +475,8 @@ def greens_function(
 
 def _causal_convolution(kernel: np.ndarray, src: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid-rule causal convolution int_0^t k(t-s) src(s) ds on a uniform grid."""
-    full = fftconvolve(kernel, src)[: src.size]
+    n = kernel.size + src.size - 1  # no wrap-around into the first src.size
+    full = np.fft.irfft(np.fft.rfft(kernel, n) * np.fft.rfft(src, n), n)[: src.size]
     return h * (full - 0.5 * kernel * src[0] - 0.5 * kernel[0] * src)
 
 

@@ -297,27 +297,73 @@ def _synth_bluestein(
     return (cj * conv).real
 
 
-def _synth_comb(
+def _comb_synthesizer(
     amplitudes: np.ndarray,
     alpha: np.ndarray,
-    phases: np.ndarray,
     dw: float,
     t0: float,
     K: int,
     m_samples: int,
-) -> np.ndarray:
-    """sum_alpha A cos(alpha*dw*t0 + 2 pi alpha j/K + phi), j = 0..m_samples-1.
+):
+    """synth(phases) -> sum_alpha A cos(alpha*dw*t0 + 2 pi alpha j/K + phi),
+    j = 0..m_samples-1.
 
     alpha are the integer comb indices, all <= K/2 (the Nyquist bound).
+    Every call reuses one spectrum and one irfft output buffer, so the
+    samples a call returns are overwritten by the next call.
     """
-    spec = np.zeros(K // 2 + 1, dtype=complex)
-    spec[alpha] = (K / 2) * amplitudes * np.exp(1j * (alpha * (dw * t0) + phases))
-    if K % 2 == 0:
-        spec[-1] *= 2.0  # irfft counts the Nyquist bin once, the others twice
-    period = np.fft.irfft(spec, K)
-    if m_samples <= K:
-        return period[:m_samples]
-    return np.resize(period, m_samples)
+    scaled = (K / 2) * amplitudes
+    shift = alpha * (dw * t0)
+    spec = np.zeros(K // 2 + 1, dtype=complex)  # zero off the comb, always
+    period = np.empty(K)
+
+    def synth(phases):
+        spec[alpha] = scaled * np.exp(1j * (shift + phases))
+        if K % 2 == 0:
+            spec[-1] *= 2.0  # irfft counts the Nyquist bin once, the others twice
+        np.fft.irfft(spec, K, out=period)
+        if m_samples <= K:
+            return period[:m_samples]
+        return np.resize(period, m_samples)
+
+    return synth
+
+
+def _grid_synthesizer(ms: ModeSet, t_grid: np.ndarray):
+    """Check a time grid once and choose its synthesis path.
+
+    Returns synth(realization) -> eE on t_grid, for realizations of `ms`;
+    see eval_field_grid for the checks and the paths.  On the comb path the
+    samples of one call are overwritten by the next.
+    """
+    if t_grid.size == 0:
+        return lambda r: np.zeros(0)
+    if t_grid.size == 1:
+        return lambda r: eval_field_direct(r, t_grid)
+    steps = np.diff(t_grid)
+    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ConfigurationError("t_grid must be uniform and increasing")
+    # the mean step, unlike steps[0], carries no rounding of a large t0
+    h = (t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
+    if h * ms.omega_cut > np.pi * (1 + 1e-12):
+        raise ConfigurationError(
+            f"grid step {h:g} violates the Nyquist bound pi/omega_cut = "
+            f"{np.pi / ms.omega_cut:g}"
+        )
+    if ms.n_modes == 0:
+        return lambda r: np.zeros(t_grid.size)
+    alpha = np.round(ms.omegas / ms.delta_omega)
+    k = 2 * np.pi / (ms.delta_omega * h)
+    K = int(round(k))
+    # a fine step on a long comb would make the period K far longer than the
+    # grid; past K = 8*(M+N) Bluestein is faster and allocates less
+    if abs(k - K) <= 4 * np.finfo(float).eps * k and K <= 8 * (t_grid.size + ms.n_modes):
+        synth = _comb_synthesizer(ms.amplitudes, alpha.astype(np.intp), ms.delta_omega,
+                                  t_grid[0], K, t_grid.size)
+        return lambda r: synth(r.phases)
+    return lambda r: _synth_bluestein(
+        ms.amplitudes, alpha, r.phases, ms.delta_omega, t_grid[0], h, t_grid.size
+    )
 
 
 def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarray:
@@ -334,36 +380,7 @@ def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarr
     omega*t*eps.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    ms = realization.mode_set
-    if t_grid.size == 0:
-        return np.zeros(0)
-    if t_grid.size == 1:
-        return eval_field_direct(realization, t_grid)
-    steps = np.diff(t_grid)
-    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ConfigurationError("t_grid must be uniform and increasing")
-    # the mean step, unlike steps[0], carries no rounding of a large t0
-    h = (t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
-    if h * ms.omega_cut > np.pi * (1 + 1e-12):
-        raise ConfigurationError(
-            f"grid step {h:g} violates the Nyquist bound pi/omega_cut = "
-            f"{np.pi / ms.omega_cut:g}"
-        )
-    if ms.n_modes == 0:
-        return np.zeros(t_grid.size)
-    alpha = np.round(ms.omegas / ms.delta_omega)
-    k = 2 * np.pi / (ms.delta_omega * h)
-    K = int(round(k))
-    # a fine step on a long comb would make the period K far longer than the
-    # grid; past K = 8*(M+N) Bluestein is faster and allocates less
-    if abs(k - K) <= 4 * np.finfo(float).eps * k and K <= 8 * (t_grid.size + ms.n_modes):
-        return _synth_comb(
-            ms.amplitudes, alpha.astype(np.intp), realization.phases, ms.delta_omega,
-            t_grid[0], K, t_grid.size,
-        )
-    return _synth_bluestein(
-        ms.amplitudes, alpha, realization.phases, ms.delta_omega, t_grid[0], h, t_grid.size
-    )
+    return _grid_synthesizer(realization.mode_set, t_grid)(realization)
 
 
 def eval_field_direct(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarray:
@@ -457,9 +474,9 @@ def empirical_correlation(
         raise StatisticsError("window too short for the requested lags")
 
     per_real = np.empty((len(realizations), lags.size))
-    t_grid = t_lo + sample_dt * np.arange(n_samp)
+    synth = _grid_synthesizer(ms, t_lo + sample_dt * np.arange(n_samp))
     for i, r in enumerate(realizations):
-        e = eval_field_grid(r, t_grid)
+        e = synth(r)
         base = e[: n_samp - max_stride]
         for j, s in enumerate(strides):
             per_real[i, j] = np.mean(base * e[s : s + base.size])

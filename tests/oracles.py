@@ -2,17 +2,22 @@
 
 Everything here is deliberately primitive (quadrature, finite differences,
 grid eigensolvers, brute-force time integrals) and shares no code with the
-library paths it checks.
+library paths it checks.  The one exception is correlation_reference, which
+synthesizes through the public eval_field_grid: it checks only how
+empirical_correlation drives the synthesis, not the synthesis itself.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal
 
 from sedlab.errors import EscapeError, IntegrationDivergedError
+from sedlab.zpf import eval_field_grid
 
 
 def response_moment_quad(scales, omega_cut: float, weight_power: int = 0,
@@ -194,6 +199,78 @@ def dpx_raw_quad(scales, omega_cut: float) -> float:
     return total
 
 
+def dpx_pv_quad(tm, scales, n: int, omega_cut: float, exclusion: float | None = None,
+                subtract_free_particle: bool = True) -> float:
+    """D_px(n; W) by adaptive quadrature of its principal-value integral.
+
+    (2 m tau/pi) sum_k |x_nk|^2 omega_kn PV int_0^W [w^3/(omega_kn^2 - w^2) + w] dw,
+    the principal value taken by symmetric exclusion windows of half-width
+    `exclusion` (default 1e-3 omega0) around each pole, Richardson-extrapolated
+    to zero width.  Without the counter-term the sum rule's
+    (2 m tau/pi) sum_k |x_nk|^2 omega_kn W^2/2 is removed again.
+    """
+    if exclusion is None:
+        exclusion = 1e-3 * scales.omega0
+    m, tau = scales.m, scales.tau
+    omegas = tm.omegas[n]
+    x2 = np.abs(tm.x_elems[n]) ** 2
+    total = 0.0
+    for k in np.nonzero(x2 > 1e-14)[0]:
+        w_kn = omegas[k]
+        if abs(w_kn) < 1e-12:
+            continue
+        a = abs(w_kn)
+
+        def integrand(w, a2=w_kn**2):
+            return w**3 / (a2 - w**2) + w
+
+        def excluded(delta):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                v1, _ = quad(integrand, 0.0, a - delta, limit=400)
+                v2, _ = quad(integrand, a + delta, omega_cut, limit=400)
+            return v1 + v2
+
+        # symmetric-exclusion error is linear in the window width
+        pv = 2.0 * excluded(exclusion / 2) - excluded(exclusion)
+        total += x2[k] * w_kn * pv
+    value = 2 * m * tau / np.pi * total
+    if not subtract_free_particle:
+        value -= 2 * m * tau / np.pi * float(np.sum(x2 * omegas)) * omega_cut**2 / 2.0
+    return float(value)
+
+
+def causal_convolution_direct(kernel, src, h: float) -> np.ndarray:
+    """Trapezoid rule for int_0^t k(t-s) src(s) ds on a uniform grid, summed
+    term by term: O(n^2)."""
+    out = np.empty(src.size)
+    for i in range(src.size):
+        terms = kernel[i::-1] * src[: i + 1]
+        out[i] = h * (terms.sum() - 0.5 * terms[0] - 0.5 * terms[-1])
+    return out
+
+
+def correlation_reference(realizations, lags, sample_dt: float,
+                          window: tuple[float, float]):
+    """empirical_correlation's estimate and jackknife error, each realization
+    synthesized by its own eval_field_grid call."""
+    lags = np.atleast_1d(np.asarray(lags, dtype=np.float64))
+    strides = np.round(lags / sample_dt).astype(int)
+    n_samp = int(np.floor((window[1] - window[0]) / sample_dt)) + 1
+    t_grid = window[0] + sample_dt * np.arange(n_samp)
+    per_real = np.empty((len(realizations), lags.size))
+    for i, r in enumerate(realizations):
+        e = eval_field_grid(r, t_grid)
+        base = e[: n_samp - strides.max()]
+        for j, s in enumerate(strides):
+            per_real[i, j] = np.mean(base * e[s : s + base.size])
+    est = per_real.mean(axis=0)
+    n = per_real.shape[0]
+    loo = (est * n - per_real) / (n - 1)
+    se = np.sqrt((n - 1) / n * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    return strides * sample_dt, est, se
+
+
 def rk4_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1,
                   t0=0.0):
     """Classical RK4 of m x'' = f(x) + tau f'(x) x' + eE(t) as a numpy batch loop.
@@ -202,9 +279,9 @@ def rk4_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1
     coefficients.  drive_half holds each member's drive at t0 + k*dt/2.
     Returns decimated (x, p, drive) like rk4_core.  Escape beyond the force's
     escape_bound is checked every step, finiteness every 256 steps and at
-    the last; the batch raises EscapeError (|x| the largest finite one
-    among the escaping members, NaN if none) or IntegrationDivergedError at
-    its first failing step.
+    the last; the batch raises EscapeError (|x| the largest one among the
+    escaping members, inf for an overflow, NaN if every one is NaN) or
+    IntegrationDivergedError at its first failing step.
     """
     m, tau, bound = scales.m, scales.tau, force.escape_bound
     c = np.asarray(force.coeffs, dtype=np.float64)
@@ -234,7 +311,7 @@ def rk4_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1
             t_fail = t0 + j * dt
             if bound is not None and not np.all(np.abs(x) <= bound):
                 worst = np.abs(x[~(np.abs(x) <= bound)])
-                worst = worst[np.isfinite(worst)]
+                worst = worst[~np.isnan(worst)]
                 worst = float(worst.max()) if worst.size else np.nan
                 raise EscapeError(f"escape near t = {t_fail:g}", t_fail=t_fail, x=worst)
             if (j % 256 == 0 or j == n_steps) and not (

@@ -5,7 +5,8 @@ import pytest
 
 import sedlab as sl
 
-from oracles import dpx_bruteforce_time_domain, dpx_raw_quad, stationary_oracle
+from oracles import (dpx_bruteforce_time_domain, dpx_pv_quad, dpx_raw_quad,
+                     stationary_oracle)
 
 
 class TestDecayPredictions:
@@ -66,6 +67,27 @@ class TestTraceDpx:
             expected = -(1e-2 / (2 * np.pi)) * np.log(w_c**2 - 1.0)
             got = sl.trace_dpx(oscillator_tm, sl.REF, 0, w_c)
             assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("subtract", [True, False], ids=["renormalized", "raw"])
+    @pytest.mark.parametrize("w_c", [20.0, 100.0, 400.0])
+    @pytest.mark.parametrize("state", [0, 1, 3])
+    @pytest.mark.parametrize("model", ["oscillator", "quartic"])
+    def test_matches_principal_value_quadrature(self, request, model, state, w_c,
+                                                subtract):
+        tm = request.getfixturevalue(f"{model}_tm")
+        got = sl.trace_dpx(tm, sl.REF, state, w_c, subtract_free_particle=subtract)
+        ref = dpx_pv_quad(tm, sl.REF, state, w_c, subtract_free_particle=subtract)
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_state_dependent_shift(self, oscillator_tm, quartic_tm):
+        # the radiative shift D_px(1) - D_px(0): zero for the oscillator,
+        # whose only line sits at omega0 for every state
+        d0 = sl.trace_dpx(oscillator_tm, sl.REF, 0, 20.0)
+        d1 = sl.trace_dpx(oscillator_tm, sl.REF, 1, 20.0)
+        assert abs(d1 - d0) <= 1e-12 * abs(d0)
+        d0 = sl.trace_dpx(quartic_tm, sl.REF, 0, 20.0)
+        d1 = sl.trace_dpx(quartic_tm, sl.REF, 1, 20.0)
+        assert d1 - d0 == pytest.approx(-2.0131e-3, abs=5e-8)
 
     def test_logarithmic_growth_ratio(self, oscillator_tm):
         v100 = sl.trace_dpx(oscillator_tm, sl.REF, 0, 100.0)

@@ -4,7 +4,7 @@ import pytest
 import sedlab as sl
 from sedlab import dynamics
 
-from oracles import rk4_reference
+from oracles import causal_convolution_direct, rk4_reference
 
 
 def _ref_realization(total_time, seed=4242, oversample=2.0, omega_cut=20.0):
@@ -275,7 +275,38 @@ class TestStepLoop:
                 assert (batch.t_fail, batch.x) == (big.t_fail, big.x)
 
 
+    def test_overflow_escape_reports_inf(self):
+        # f = 25x + x^3 from x = 1 overflows to inf at t = 0.656, inside
+        # any finite bound; the escape reports |x| = inf, not NaN
+        runaway = sl.polynomial([0.0, 25.0, 0.0, 1.0], escape_bound=1e300)
+        dt, n_steps = 0.016, 1000
+        args = (sl.REF, runaway, np.zeros((1, 2 * n_steps + 1)), np.array([1.0]),
+                np.zeros(1), dt, n_steps)
+        for integrate in (dynamics.rk4_core, rk4_reference):
+            with pytest.raises(sl.EscapeError) as exc:
+                integrate(*args)
+            assert exc.value.t_fail == pytest.approx(0.656, abs=1e-12)
+            assert exc.value.x == np.inf
+
+    @pytest.mark.parametrize("x, worst", [(-np.inf, np.inf), (np.inf, np.inf),
+                                          (np.nan, np.nan), (-7.0, 7.0)])
+    def test_series_escape_reports_abs_x(self, x, worst):
+        state = np.array([[0.5, 1.0, x, 2.0], [0.0, 0.0, 0.0, 0.0]])
+        step, kind, got = dynamics._first_failure(state, 5.0)
+        assert (step, kind) == (3, 0)
+        assert got == worst or (np.isnan(got) and np.isnan(worst))
+
+
 class TestStepGridValidation:
+    @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
+                             ids=["harmonic", "quartic"])
+    @pytest.mark.parametrize("shape", [(1, 10), (1, 12), (2, 11)],
+                             ids=["short", "long", "rows"])
+    def test_drive_shape_mismatch_rejected(self, force, shape):
+        with pytest.raises(sl.ConfigurationError, match="drive_half"):
+            dynamics.rk4_core(sl.REF, force, np.zeros(shape), np.ones(1), np.zeros(1),
+                              0.01, 5)
+
     def test_store_stride_below_one_rejected(self):
         r = _ref_realization(10.0)
         force = sl.harmonic(1.0)
@@ -394,6 +425,19 @@ class TestResponses:
         err_late = np.max(np.abs(x1[late] - full.x[late])) / scale
         assert err_early < 2e-2
         assert err_late > 10 * err_early  # documented divergence past the decay time
+
+    @pytest.mark.parametrize("m_samples", [2000, 2001], ids=["even", "odd"])
+    def test_first_order_matches_direct_trapezoid(self, m_samples):
+        r = _ref_realization(50.0)
+        g = sl.greens_function(sl.REF, sl.harmonic(1.0), "damped")
+        h = 0.02
+        t = 1.3 + h * np.arange(m_samples)
+        x1, p1 = sl.first_order_response(g, r, t)
+        e = sl.eval_field_grid(r, t)
+        u = h * np.arange(m_samples)
+        for got, kernel, m in ((x1, g.g(u), 1.0), (p1, g.gdot(u), g.m)):
+            ref = m * causal_convolution_direct(kernel, e, h)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_second_order_zero_for_harmonic(self):
         r = _ref_realization(50.0)

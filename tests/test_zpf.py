@@ -9,7 +9,7 @@ import sedlab as sl
 from sedlab import zpf
 from sedlab.rng import derive_seed
 
-from oracles import correlation_quad
+from oracles import correlation_quad, correlation_reference
 
 
 def small_mode_set(total_time=50.0, omega_cut=20.0, scales=None):
@@ -277,6 +277,30 @@ class TestEmpiricalCorrelation:
         assert abs(k - round(k)) <= 4 * np.finfo(float).eps * k
         strides = lags / step
         np.testing.assert_allclose(strides, np.round(strides), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "sample_dt, window, bluestein_calls",
+        [(0.05, (0.0, 400.0), 0), (0.0137, (3.0, 200.0), 5)],
+        ids=["comb", "bluestein"],
+    )
+    def test_matches_per_realization_synthesis(self, monkeypatch, sample_dt, window,
+                                               bluestein_calls):
+        ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=400.0, oversample=4.0)
+        reals = [sl.sample_realization(ms, derive_seed(17, i)) for i in range(5)]
+        lags = np.linspace(0.0, 5.0, 11)
+        want = correlation_reference(reals, lags, sample_dt, window)
+        calls = []
+        bluestein = zpf._synth_bluestein
+
+        def spy(*args):
+            calls.append(args)
+            return bluestein(*args)
+
+        monkeypatch.setattr(zpf, "_synth_bluestein", spy)
+        got = sl.empirical_correlation(reals, lags, sample_dt=sample_dt, window=window)
+        assert len(calls) == bluestein_calls
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_tau_zero_exactly_zero(self):
         scales = sl.PhysicalScales(tau=0.0)
