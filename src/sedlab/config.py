@@ -8,6 +8,7 @@ offending field and, where possible, the line in the config file.
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
@@ -80,6 +81,8 @@ _SCHEMA: dict[str, dict[str, tuple[bool, tuple]]] = {
     },
 }
 
+_FORCES = {"harmonic": harmonic, "quartic": quartic, "polynomial": polynomial}
+
 _IC_SCHEMA = {
     "fixed": {"x0", "p0"},
     "paired": {"x0a", "x0b"},
@@ -94,6 +97,10 @@ COMMAND_SECTIONS = {
     "spectrum": ("scales", "force", "field", "ensemble"),
     "correlate": ("scales", "field", "correlate"),
 }
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, _NUM) and not isinstance(val, bool)
 
 
 def _line_of(raw: str, key: str) -> str:
@@ -162,6 +169,32 @@ def load_config(path: str | Path, command: str) -> dict:
                     f"{path}: missing required field '{section}.{key}'"
                     f"{_line_of(raw, section)}"
                 )
+    if "force" in cfg:
+        body = dict(cfg["force"])
+        kind = body.pop("kind")
+        if kind not in _FORCES:
+            raise ConfigurationError(
+                f"{path}: 'force.kind' must be one of {sorted(_FORCES)}, "
+                f"got {kind!r}{_line_of(raw, 'kind')}"
+            )
+        # the factory's own signature says which keys this kind takes
+        try:
+            inspect.signature(_FORCES[kind]).bind(**body)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"{path}: force kind '{kind}': {exc}{_line_of(raw, 'force')}"
+            ) from None
+        if not all(map(_is_number, body.get("coeffs", []))):
+            raise ConfigurationError(
+                f"{path}: 'force.coeffs' must be a list of numbers{_line_of(raw, 'coeffs')}"
+            )
+    if "correlate" in cfg:
+        lags = cfg["correlate"]["lags"]
+        if not lags or not all(map(_is_number, lags)):
+            raise ConfigurationError(
+                f"{path}: 'correlate.lags' must be a non-empty list of numbers"
+                f"{_line_of(raw, 'lags')}"
+            )
     if "ensemble" in cfg:
         ic = cfg["ensemble"].get("initial_conditions")
         if ic is not None:
@@ -176,6 +209,12 @@ def load_config(path: str | Path, command: str) -> dict:
                 raise ConfigurationError(
                     f"{path}: unknown initial-condition key(s) {sorted(extra)}"
                 )
+            for key, val in ic.items():
+                if key != "kind" and not _is_number(val):
+                    raise ConfigurationError(
+                        f"{path}: 'ensemble.initial_conditions.{key}' must be a number"
+                        f"{_line_of(raw, key)}"
+                    )
     return cfg
 
 
@@ -185,14 +224,7 @@ def build_scales(cfg: dict) -> PhysicalScales:
 
 def build_force(cfg: dict) -> ForceModel:
     body = dict(cfg["force"])
-    kind = body.pop("kind")
-    if kind == "harmonic":
-        return harmonic(omega0=body["omega0"], m=body.get("m", 1.0))
-    if kind == "quartic":
-        return quartic(omega0=body["omega0"], lam=body["lam"], m=body.get("m", 1.0))
-    if kind == "polynomial":
-        return polynomial(body["coeffs"], escape_bound=body.get("escape_bound"))
-    raise ConfigurationError(f"unknown force kind '{kind}'")
+    return _FORCES[body.pop("kind")](**body)
 
 
 def build_initial_conditions(body: dict | None):

@@ -19,8 +19,8 @@ bit-identical to a vectorized numpy loop over the batch, and a member's
 trajectory never depends on the other members of its batch.  For a linear
 force (the harmonic reference included) one RK4 step is an affine map of
 (x, p), read off that same step loop, so the same discretization is run as
-an exact linear recurrence in the eigenbasis of the map instead; it agrees
-with the loop to rounding (about 1e-12 relative).
+one real banded triangular solve over all steps instead; it agrees with the
+loop to rounding (about 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
+from scipy.linalg.blas import dtbsv
 
 from .errors import ConfigurationError, EscapeError, IntegrationDivergedError
 from .forces import ForceModel
@@ -49,7 +49,6 @@ __all__ = [
 _MAX_DT_OMEGA_CUT = 0.35  # >= 18 steps per period of the fastest mode
 _MAX_DT_OMEGA0 = 0.05
 _CHECK_EVERY = 256  # finiteness check cadence of the step loop
-_MAX_EIGVEC_COND = 1e4  # beyond it M is left to the step loop (near a Jordan block)
 
 
 @dataclass(frozen=True)
@@ -127,10 +126,10 @@ def rk4_core(
     its earliest failure.  Members are independent: a member's row does not
     depend on the rest of its batch.
 
-    A linear force makes the RK4 step an affine map of the state, which is
-    run as an exact recurrence (_rk4_affine); other forces, and linear ones
-    whose map is too close to a Jordan block, step in a loop (_rk4_loop),
-    which checks finiteness every _CHECK_EVERY steps.
+    A linear force makes the RK4 step an affine map of the state, and every
+    linear force runs as one banded solve of that recurrence (_rk4_affine);
+    every other force steps in a loop (_rk4_loop), which checks finiteness
+    every _CHECK_EVERY steps.
     """
     _validate_stride(store_stride)
     if np.shape(drive_half) != (len(x0), 2 * n_steps + 1):
@@ -138,13 +137,8 @@ def rk4_core(
             f"drive_half must have shape (batch, 2*n_steps+1) = "
             f"({len(x0)}, {2 * n_steps + 1}), got {np.shape(drive_half)}"
         )
-    if not np.any(force._c2):
-        out = _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps,
-                          store_stride, t0)
-        if out is not None:
-            return out
-    return _rk4_loop(scales, force, drive_half, x0, p0, dt, n_steps,
-                     store_stride, t0)
+    integrate = _rk4_loop if np.any(force._c2) else _rk4_affine
+    return integrate(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0)
 
 
 def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
@@ -267,16 +261,15 @@ def _raise_failure(fail, bound, t0: float, dt: float):
 
 
 def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0):
-    """rk4_core for a linear force, as the exact recurrence of the RK4 map.
+    """rk4_core for a linear force, as one banded solve of the RK4 recurrence.
 
-    With f linear, one step is s' = M s + B (e0, e1/2, e1) + c for s = (x, p).
-    M, B and c are read off one _rk4_lane step from basis states, so this is
-    the same discretization as the loop, with rounding in another order.  In
-    the eigenbasis of M the recurrence splits into two first-order ones,
-    z[j] - lam z[j-1] = w[j], each a unit lower-bidiagonal triangular system
-    solved in place by BLAS ztbsv, one member at a time.  Returns None,
-    leaving the batch to the loop, when M is too close to a Jordan block to
-    diagonalize accurately.
+    With f linear, one step is s[j] = M s[j-1] + B u[j] + c for s = (x, p)
+    and u[j] = (e0, e1/2, e1) of step j.  M, B and c are read off one
+    _rk4_lane step from basis states, so this is the same discretization as
+    the loop, with rounding in another order.  With the states interleaved
+    as (x1, p1, x2, p2, ...), s[j] - M s[j-1] = B u[j] + c is a real unit
+    lower-triangular system with three subdiagonals, solved in place by
+    BLAS dtbsv, one member at a time.
     """
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
     # probe is the zero state, whose image is c
@@ -287,53 +280,47 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0
     images = np.array(images).T
     c = images[:, 5]
     cols = images[:, :5] - c[:, None]  # [M | B]
-    lam, vec = np.linalg.eig(cols[:, :2])
-    if np.linalg.cond(vec) > _MAX_EIGVEC_COND:
-        return None
-    vinv = np.linalg.inv(vec)
-    gain = vinv @ cols[:, 2:]  # modal weights of (e0, e1/2, e1)
-    offset = vinv @ c
+    step_map = cols[:, :2]
+    weights = np.vstack([cols[:, 2:].T, c])  # (e0, e1/2, e1, 1) -> (x, p)
+    # lower band storage, A[i, k] at band[i - k, k]: even columns multiply
+    # an x, odd ones a p; the unit diagonal (row 0) is not read
+    band = np.zeros((4, 2 * n_steps), order="F")
+    band[2, 0::2], band[3, 0::2] = -step_map[:, 0]
+    band[1, 1::2], band[2, 1::2] = -step_map[:, 1]
+    # buffers reused by every member: a fresh one of this size per member
+    # would be a fresh mmap, and page faults would cost more than the solve
+    inputs = np.empty((n_steps, 4))
+    inputs[:, 3] = 1.0
+    state = np.empty((n_steps, 2))  # (x, p) after steps 1..n_steps
     bound = force.escape_bound
     n_out = n_steps // store_stride + 1
     xs = np.empty((len(x0), n_out))
     ps = np.empty((len(x0), n_out))
     xs[:, 0], ps[:, 0] = x0, p0
     es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
-    # banded storage of each mode's matrix: unit diagonal (row 0, not read)
-    # and -lam on the subdiagonal (row 1)
-    bands = []
-    for k in range(2):
-        band = np.zeros((2, n_steps), dtype=complex, order="F")
-        band[1] = -lam[k]
-        bands.append(band)
     fail = None  # (step, kind, |x|) of the earliest failure in the batch
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row in range(len(x0)):
-            e = drive_half[row]
-            w = gain @ np.array([e[0:-1:2], e[1::2], e[2::2]]) + offset[:, None]
-            # complex, so that ztbsv solves each row in place (M may have
-            # real eigenvalues, and then w comes out real)
-            w = w.astype(complex, copy=False)
-            z0 = vinv @ np.array([xs[row, 0], ps[row, 0]])
-            w[:, 0] += lam * z0
-            for k in range(2):
-                ztbsv(1, bands[k], w[k], lower=1, diag=1, overwrite_x=1)
-            state = (vec @ w).real  # (x, p) after steps 1..n_steps
-            fail = _earlier(fail, _first_failure(state, bound))
-            xs[row, 1:] = state[0, store_stride - 1 :: store_stride]
-            ps[row, 1:] = state[1, store_stride - 1 :: store_stride]
+    for row in range(len(x0)):
+        e = drive_half[row]
+        inputs[:, 0], inputs[:, 1], inputs[:, 2] = e[0:-1:2], e[1::2], e[2::2]
+        np.matmul(inputs, weights, out=state)
+        state[0] += step_map @ (xs[row, 0], ps[row, 0])
+        dtbsv(3, band, state.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        fail = _earlier(fail, _first_failure(state, bound))
+        xs[row, 1:] = state[store_stride - 1 :: store_stride, 0]
+        ps[row, 1:] = state[store_stride - 1 :: store_stride, 1]
     _raise_failure(fail, bound, t0, dt)
     return xs, ps, es
 
 
 def _first_failure(state, bound):
-    """One member's first failure (step, kind, |x|) in its (x, p) series.
+    """One member's first failure (step, kind, |x|) in its (n_steps, 2) series
+    of (x, p).
 
     Returns None when there is none; kind 0 is an escape and 1 a non-finite
     state, as the loop orders them at one step.
     """
-    x = state[0]
-    bad = ~np.all(np.isfinite(state), axis=0)
+    x = state[:, 0]
+    bad = ~(np.isfinite(x) & np.isfinite(state[:, 1]))
     if bound is not None:
         bad |= ~(np.abs(x) <= bound)
     if not bad.any():

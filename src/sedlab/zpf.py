@@ -458,20 +458,24 @@ def empirical_correlation(
     if sample_dt is None:
         # at most an eighth of the cutoff period, on the comb's own grid
         sample_dt = 2 * np.pi / (ms.delta_omega * np.ceil(8 * ms.omega_cut / ms.delta_omega))
+    if not sample_dt > 0:
+        raise ConfigurationError(f"sample_dt must be positive, got {sample_dt}")
     if window is None:
         window = (0.0, ms.recurrence_time / ms.oversample)
     t_lo, t_hi = window
     if t_hi <= t_lo:
         raise ConfigurationError("window must have positive length")
     lags = np.atleast_1d(np.asarray(lags, dtype=np.float64))
-    strides = np.round(lags / sample_dt).astype(int)
-    if np.any(strides < 0):
+    steps = np.round(lags / sample_dt)
+    if not np.all(steps >= 0):
         raise ConfigurationError("lags must be non-negative")
-    lags_used = strides * sample_dt
     n_samp = int(np.floor((t_hi - t_lo) / sample_dt)) + 1
-    max_stride = int(strides.max())
-    if n_samp - max_stride < 16:
+    # checked on floats: a stride too large for the window may not fit an int
+    if n_samp - steps.max() < 16:
         raise StatisticsError("window too short for the requested lags")
+    strides = steps.astype(int)
+    max_stride = int(strides.max())
+    lags_used = strides * sample_dt
 
     per_real = np.empty((len(realizations), lags.size))
     synth = _grid_synthesizer(ms, t_lo + sample_dt * np.arange(n_samp))

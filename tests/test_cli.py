@@ -32,6 +32,34 @@ def small_ensemble_section(**overrides):
     return body
 
 
+SIMULATE = {"x0": 0.0, "p0": 0.0, "t_span": 10.0, "dt": 0.016, "with_field": False}
+CORRELATE = {"n_realizations": 4, "seed": 3, "total_time": 50.0, "sample_dt": 0.05}
+
+
+@pytest.mark.parametrize("command, sections, field", [
+    ("simulate", {"force": {"kind": "harmonic"}}, "omega0"),
+    ("simulate", {"force": {"kind": "quartic", "omega0": 1.0}}, "lam"),
+    ("simulate", {"force": {"kind": "polynomial"}}, "coeffs"),
+    ("simulate", {"force": {"kind": "polynomial", "coeffs": ["a", 1]}}, "coeffs"),
+    ("simulate", {"force": {"kind": "harmonic", "omega0": 1, "lam": 3}}, "lam"),
+    ("ensemble", {"ensemble": small_ensemble_section(
+        initial_conditions={"kind": "fixed", "x0": "a"})}, "x0"),
+    ("correlate", {"correlate": dict(CORRELATE, lags=["a"])}, "lags"),
+    ("correlate", {"correlate": dict(CORRELATE, lags=[[0.1]])}, "lags"),
+    ("correlate", {"correlate": dict(CORRELATE, lags=[])}, "lags"),
+], ids=["harmonic-no-omega0", "quartic-no-lam", "polynomial-no-coeffs",
+        "string-coeff", "harmonic-with-lam", "string-x0", "string-lag",
+        "nested-lag", "no-lags"])
+def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, command,
+                                                   sections, field):
+    body = {"scales": SCALES, "force": FORCE, "field": FIELD, "simulate": SIMULATE}
+    body.update(sections)
+    cfg = write_config(tmp_path / "c.json", **body)
+    rc = cli.main([command, str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_writes_trajectory_and_manifest(self, tmp_path):
         cfg = write_config(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sedlab as sl
 from sedlab import dynamics
@@ -92,6 +94,21 @@ def _driven_rows(scales, t_span, dt, n_rows, t0=0.0, seed=4242):
     return drive, n_steps
 
 
+def _rk4_stable_limit(m, tau, dt):
+    """Largest k at which RK4 with step dt is stable on x' = p/m,
+    p' = -k x - tau k p/m: every eigenvalue z of dt times the system matrix
+    has |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1.  Bisection on log k."""
+    def stable(k):
+        z = dt * np.roots([1.0, tau * k / m, k / m])
+        return np.all(np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1, 1], z)) <= 1 + 1e-12)
+
+    lo, hi = 0.1, 1e9
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    return lo
+
+
 class TestAffineRecurrence:
     """rk4_core's linear-force recurrence against the step loop it replaces."""
 
@@ -128,17 +145,35 @@ class TestAffineRecurrence:
         self._compare(sl.REF, sl.polynomial([0.3, -1.0]), drive, [0.0, 2.0],
                       [0.1, 0.0], dt, n_steps, stride=stride, t0=t0)
 
-    def test_near_jordan_map_takes_the_loop(self):
-        # critical damping, c1 = -4 m / tau^2, gives a defective RK4 map
+    @pytest.mark.parametrize("c0, k", [(0.0, 4.0), (0.2, 5.0)],
+                             ids=["critical", "overdamped"])
+    def test_strongly_damped(self, c0, k):
+        # c1 = -4 m / tau^2 damps critically and makes the RK4 map defective;
+        # -5 m / tau^2 gives it real distinct eigenvalues, RK4 still stable
         tau = 0.01
         scales = sl.PhysicalScales(tau=tau)
-        force = sl.polynomial([0.0, -4.0 * scales.m / tau**2])
+        force = sl.polynomial([c0, -k * scales.m / tau**2])
         dt, n_steps = 0.005, 400
         drive = np.cos(0.5 * 0.5 * dt * np.arange(2 * n_steps + 1))[None, :]
-        args = (scales, force, drive, np.array([1.0]), np.array([0.0]), dt, n_steps)
-        fast, ref = dynamics.rk4_core(*args), dynamics._rk4_loop(*args, 1, 0.0)
-        for a, b in zip(fast, ref):
-            assert np.array_equal(a, b)
+        self._compare(scales, force, drive, [1.0], [0.0], dt, n_steps)
+
+    @given(c0=st.floats(-1.0, 1.0), depth=st.floats(0.0, 1.0),
+           dt=st.floats(0.002, 0.02), tau=st.sampled_from([0.0, 1e-2]),
+           stride=st.sampled_from([1, 7]), t0=st.sampled_from([0.0, 3.7]))
+    @settings(max_examples=40, deadline=None)
+    def test_any_stable_linear_force(self, c0, depth, dt, tau, stride, t0):
+        # c1 runs log-uniformly from -0.1 down to RK4's stability limit,
+        # which lies past critical damping (c1 = -4 m / tau^2) for small dt.
+        # Where the two meet (dt near 0.0139 at tau = 1e-2) the map is a
+        # Jordan block with eigenvalue -1, and any two roundings drift apart
+        # as n_steps^2: 7e-11 relative at 200 steps, 1.7e-10 at 300.
+        scales = sl.PhysicalScales(tau=tau)
+        c1 = -0.1 * (_rk4_stable_limit(scales.m, tau, dt) / 0.1) ** depth
+        n_steps = 200
+        t = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+        drive = np.array([np.cos(1.3 * t), 0.1 * np.sin(0.97 * t)])
+        self._compare(scales, sl.polynomial([c0, c1]), drive, [1.0, 0.0], [0.0, 0.2],
+                      dt, n_steps, stride=stride, t0=t0)
 
     def test_escape_matches_loop(self):
         runaway = sl.polynomial([0.0, 25.0], escape_bound=5.0)  # f = +25 x
@@ -291,7 +326,7 @@ class TestStepLoop:
     @pytest.mark.parametrize("x, worst", [(-np.inf, np.inf), (np.inf, np.inf),
                                           (np.nan, np.nan), (-7.0, 7.0)])
     def test_series_escape_reports_abs_x(self, x, worst):
-        state = np.array([[0.5, 1.0, x, 2.0], [0.0, 0.0, 0.0, 0.0]])
+        state = np.array([[0.5, 1.0, x, 2.0], [0.0, 0.0, 0.0, 0.0]]).T
         step, kind, got = dynamics._first_failure(state, 5.0)
         assert (step, kind) == (3, 0)
         assert got == worst or (np.isnan(got) and np.isnan(worst))

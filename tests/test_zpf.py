@@ -263,6 +263,18 @@ class TestEmpiricalCorrelation:
         with pytest.raises(sl.StatisticsError):
             sl.empirical_correlation([r], [0.0])
 
+    @pytest.mark.parametrize("sample_dt, lags, error, field", [
+        (0.0, [0.0, 1.0], sl.ConfigurationError, "sample_dt"),
+        (-0.05, [0.0, 1.0], sl.ConfigurationError, "sample_dt"),
+        (0.05, [0.0, 1e30], sl.StatisticsError, "lags"),
+        (0.05, [-1.0], sl.ConfigurationError, "lags"),
+    ], ids=["zero-step", "negative-step", "huge-lag", "negative-lag"])
+    def test_bad_grid_names_its_field(self, sample_dt, lags, error, field):
+        ms = small_mode_set()
+        reals = [sl.sample_realization(ms, s) for s in (1, 2)]
+        with pytest.raises(error, match=field):
+            sl.empirical_correlation(reals, lags, sample_dt=sample_dt)
+
     def test_default_sample_dt_on_the_comb(self, monkeypatch):
         # old default 2 pi/(8 omega_cut) is off this comb: 8*omega_cut/dw = 5093.0
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0, oversample=4.0)
