@@ -263,6 +263,6 @@ def window_from(body: dict, default: tuple[float, float]) -> tuple[float, float]
     win = body.get("window")
     if win is None:
         return default
-    if len(win) != 2 or not all(isinstance(v, _NUM) for v in win):
-        raise ConfigurationError("'window' must be [t_lo, t_hi]")
+    if not (isinstance(win, list) and len(win) == 2 and all(map(_is_number, win))):
+        raise ConfigurationError(f"'window' must be [t_lo, t_hi] of two numbers, got {win!r}")
     return float(win[0]), float(win[1])

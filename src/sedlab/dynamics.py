@@ -20,7 +20,9 @@ trajectory never depends on the other members of its batch.  For a linear
 force (the harmonic reference included) one RK4 step is an affine map of
 (x, p), read off that same step loop, so the same discretization is run as
 one real banded triangular solve over all steps instead; it agrees with the
-loop to rounding (about 1e-12 relative).
+loop to rounding (about 1e-12 relative).  The variational hierarchy
+(hierarchy_terms) steps its six variables on Python floats the same way,
+bit-identical to a numpy loop of the same expressions.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def rk4_core(
     n_steps: int,
     store_stride: int = 1,
     t0: float = 0.0,
+    *,
+    per_member: bool = False,
 ):
     """Classical RK4 over a batch of trajectories sharing (force, dt).
 
@@ -125,6 +129,12 @@ def rk4_core(
     and IntegrationDivergedError on a non-finite state; a batch raises at
     its earliest failure.  Members are independent: a member's row does not
     depend on the rest of its batch.
+
+    With per_member=True nothing is raised: every member runs to its own
+    first failure, the return gains a fourth item, the list of each
+    member's first failure (step, kind, |x|) or None (kind 0 an escape, 1 a
+    non-finite state, at time t0 + step*dt), and a failed member's rows of
+    x, p and drive are NaN.
 
     A linear force makes the RK4 step an affine map of the state, and every
     linear force runs as one banded solve of that recurrence (_rk4_affine);
@@ -138,16 +148,25 @@ def rk4_core(
             f"({len(x0)}, {2 * n_steps + 1}), got {np.shape(drive_half)}"
         )
     integrate = _rk4_loop if np.any(force._c2) else _rk4_affine
-    return integrate(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0)
+    xs, ps, es, fails = integrate(scales, force, drive_half, x0, p0, dt, n_steps,
+                                  store_stride)
+    if not per_member:
+        _raise_failure(fails, force.escape_bound, t0, dt)
+        return xs, ps, es
+    for row, fail in enumerate(fails):
+        if fail is not None:
+            xs[row] = ps[row] = es[row] = np.nan
+    return xs, ps, es, fails
 
 
 def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
-              p: float, e: list, n_steps: int, store_stride: int, stop: int):
+              p: float, e: list, n_steps: int, store_stride: int):
     """Classical RK4 of the order-reduced equation for one member, on floats.
 
     e holds the member's drive on the half-step grid, so step j uses
-    e[2j-2], e[2j-1] (both midpoint stages) and e[2j].  Steps 1..stop of
-    n_steps are run; the state after every store_stride-th step is kept.
+    e[2j-2], e[2j-1] (both midpoint stages) and e[2j].  Steps 1..n_steps
+    are run up to the first failure; the state after every
+    store_stride-th step is kept.
     Returns (xs, ps, fail), xs and ps starting with the initial state and
     fail None or the member's first failure (step, kind, |x|): kind 0 an
     escape beyond `bound` (None for no bound), checked every step, kind 1 a
@@ -167,7 +186,7 @@ def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
     half = 0.5 * dt
     sixth = dt / 6.0
     xs, ps = [x], [p]
-    for j in range(1, stop + 1):
+    for j in range(1, n_steps + 1):
         e0, e1, e2 = e[2 * j - 2], e[2 * j - 1], e[2 * j]
         z = x * 0
         f, g = cf + z, cg + z
@@ -212,12 +231,12 @@ def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
     return xs, ps, None
 
 
-def _rk4_loop(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0):
-    """rk4_core as an explicit step loop, for any force; the reference path.
+def _rk4_loop(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
+    """rk4_core's integration as an explicit step loop, for any force.
 
-    Members step one at a time (_rk4_lane); once one has failed, the rest
-    stop at its step, which is as far as they can still change the batch's
-    earliest failure.
+    Members step one at a time (_rk4_lane), each to its own first failure.
+    Returns (xs, ps, es, fails) as rk4_core(per_member=True) does, except
+    that a failed member's rows are left unset.
     """
     n_out = n_steps // store_stride + 1
     xs = np.empty((len(x0), n_out))
@@ -225,17 +244,14 @@ def _rk4_loop(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0):
     es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
     starts = zip(np.asarray(x0, dtype=np.float64).tolist(),
                  np.asarray(p0, dtype=np.float64).tolist())
-    fail = None  # (step, kind, |x|) of the earliest failure in the batch
+    fails = []
     for row, (x, p) in enumerate(starts):
-        stop = n_steps if fail is None else fail[0]
-        xr, pr, first = _rk4_lane(force, scales.m, scales.tau, dt, force.escape_bound,
-                                  x, p, drive_half[row].tolist(), n_steps,
-                                  store_stride, stop)
-        fail = _earlier(fail, first)
+        xr, pr, fail = _rk4_lane(force, scales.m, scales.tau, dt, force.escape_bound,
+                                 x, p, drive_half[row].tolist(), n_steps, store_stride)
+        fails.append(fail)
         if fail is None:
             xs[row], ps[row] = xr, pr
-    _raise_failure(fail, force.escape_bound, t0, dt)
-    return xs, ps, es
+    return xs, ps, es, fails
 
 
 def _raise_escape(bound: float, t_fail: float, worst: float):
@@ -250,8 +266,12 @@ def _raise_diverged(t_fail: float):
     raise IntegrationDivergedError(f"non-finite state near t = {t_fail:g}", t_fail=t_fail)
 
 
-def _raise_failure(fail, bound, t0: float, dt: float):
-    """Raise the batch's earliest failure, if any, at its time t0 + step*dt."""
+def _raise_failure(fails, bound, t0: float, dt: float):
+    """Raise the earliest of the members' first failures, if any, at its
+    time t0 + step*dt."""
+    fail = None
+    for first in fails:
+        fail = _earlier(fail, first)
     if fail is None:
         return
     step, kind, worst = fail
@@ -260,8 +280,9 @@ def _raise_failure(fail, bound, t0: float, dt: float):
     _raise_diverged(t0 + step * dt)
 
 
-def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0):
-    """rk4_core for a linear force, as one banded solve of the RK4 recurrence.
+def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
+    """rk4_core's integration for a linear force, as one banded solve of the
+    RK4 recurrence; returns (xs, ps, es, fails) as _rk4_loop does.
 
     With f linear, one step is s[j] = M s[j-1] + B u[j] + c for s = (x, p)
     and u[j] = (e0, e1/2, e1) of step j.  M, B and c are read off one
@@ -275,7 +296,7 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0
     # probe is the zero state, whose image is c
     images = []
     for x, p, *e in np.eye(6)[:5].T.tolist():
-        xs, ps, _ = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1, 1)
+        xs, ps, _ = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1)
         images.append((xs[1], ps[1]))
     images = np.array(images).T
     c = images[:, 5]
@@ -298,18 +319,17 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride, t0
     ps = np.empty((len(x0), n_out))
     xs[:, 0], ps[:, 0] = x0, p0
     es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
-    fail = None  # (step, kind, |x|) of the earliest failure in the batch
+    fails = []
     for row in range(len(x0)):
         e = drive_half[row]
         inputs[:, 0], inputs[:, 1], inputs[:, 2] = e[0:-1:2], e[1::2], e[2::2]
         np.matmul(inputs, weights, out=state)
         state[0] += step_map @ (xs[row, 0], ps[row, 0])
         dtbsv(3, band, state.reshape(-1), lower=1, diag=1, overwrite_x=1)
-        fail = _earlier(fail, _first_failure(state, bound))
+        fails.append(_first_failure(state, bound))
         xs[row, 1:] = state[store_stride - 1 :: store_stride, 0]
         ps[row, 1:] = state[store_stride - 1 :: store_stride, 1]
-    _raise_failure(fail, bound, t0, dt)
-    return xs, ps, es
+    return xs, ps, es, fails
 
 
 def _first_failure(state, bound):
@@ -553,56 +573,80 @@ def hierarchy_terms(
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
     drive = synthesize_drive(realization, 0.0, dt, n_steps)
-    m, tau = scales.m, scales.tau
-    fm = force
-
-    def deriv(state, e):
-        x, p, x1, p1, x2, p2 = state
-        fpx = fm.fp(x)
-        fppx = fm.fpp(x)
-        a0 = (fm.f(x) + tau * fpx * (p / m)) / m
-        a1 = (fpx * x1 + tau * (fppx * x1 * (p / m) + fpx * (p1 / m)) + e) / m
-        a2 = (
-            fpx * x2
-            + 0.5 * fppx * x1**2
-            + tau * (
-                fppx * x2 * (p / m)
-                + fpx * (p2 / m)
-                + fppx * x1 * (p1 / m)
-                + 0.5 * fm.fppp(x) * x1**2 * (p / m)
-            )
-        ) / m
-        return np.array([p / m, m * a0, p1 / m, m * a1, p2 / m, m * a2])
-
-    state = np.array([x0, p0, 0.0, 0.0, 0.0, 0.0])
-    n_out = n_steps // store_stride + 1
-    out = np.empty((6, n_out))
-    out[:, 0] = state
-    k_out = 1
-    # overflow in a diverging run is reported via IntegrationDivergedError,
-    # not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            e0, e1, e2 = drive[2 * j], drive[2 * j + 1], drive[2 * j + 2]
-            k1 = deriv(state, e0)
-            k2 = deriv(state + 0.5 * dt * k1, e1)
-            k3 = deriv(state + 0.5 * dt * k2, e1)
-            k4 = deriv(state + dt * k3, e2)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (j + 1) % store_stride == 0:
-                out[:, k_out] = state
-                k_out += 1
-            if ((j + 1) % _CHECK_EVERY == 0 or j == n_steps - 1) and not np.all(
-                np.isfinite(state)
-            ):
-                raise IntegrationDivergedError(
-                    f"non-finite hierarchy state near t = {(j + 1) * dt:g}",
-                    t_fail=(j + 1) * dt,
-                )
-    t = dt * store_stride * np.arange(n_out)
+    start = (float(x0), float(p0), 0.0, 0.0, 0.0, 0.0)
+    rows, fail = _hierarchy_lane(force, scales.m, scales.tau, dt, start, drive.tolist(),
+                                 n_steps, store_stride)
+    if fail is not None:
+        raise IntegrationDivergedError(
+            f"non-finite hierarchy state near t = {fail * dt:g}", t_fail=fail * dt
+        )
+    out = np.array(rows).T
+    t = dt * store_stride * np.arange(out.shape[1])
     return {
         "t": t,
         "x0": out[0], "p0": out[1],
         "x1": out[2], "p1": out[3],
         "x2": out[4], "p2": out[5],
     }
+
+
+def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, state: tuple,
+                    e: list, n_steps: int, store_stride: int):
+    """hierarchy_terms' classical RK4 over (x0, p0, x1, p1, x2, p2), on floats.
+
+    e holds the drive on the half-step grid, as for _rk4_lane.  Returns
+    (rows, fail): the state after every store_stride-th step, starting with
+    `state`, and None or the step at which a non-finite state was found,
+    checked every _CHECK_EVERY steps and at step n_steps.
+
+    f, f', f'' and f''' run one Horner loop, the shorter ones padded with
+    zeros at the top powers, in _polyval's order of operations; x1*x1
+    stands for x1**2, which Python floats raise as OverflowError where
+    numpy returns inf.  The result is bit-identical to a numpy evaluation
+    of the same expressions.
+    """
+    cs = [[float(c) for c in coeffs[::-1]] for coeffs in (fm._c0, fm._c1, fm._c2, fm._c3)]
+    width = max(map(len, cs))
+    (cf, cg, ch, ck), *rest = zip(*([0.0] * (width - len(c)) + c for c in cs))
+
+    def deriv(x, p, x1, p1, x2, p2, e):
+        z = x * 0
+        f, g, h, k = cf + z, cg + z, ch + z, ck + z
+        for a, b, c, d in rest:
+            f, g, h, k = a + f * x, b + g * x, c + h * x, d + k * x
+        v, v1, v2 = p / m, p1 / m, p2 / m
+        sq = x1 * x1
+        a0 = (f + tau * g * v) / m
+        a1 = (g * x1 + tau * (h * x1 * v + g * v1) + e) / m
+        a2 = (
+            g * x2
+            + 0.5 * h * sq
+            + tau * (h * x2 * v + g * v2 + h * x1 * v1 + 0.5 * k * sq * v)
+        ) / m
+        return v, m * a0, v1, m * a1, v2, m * a2
+
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    rows = [state]
+    x, p, x1, p1, x2, p2 = state
+    for j in range(1, n_steps + 1):
+        e0, e1, e2 = e[2 * j - 2], e[2 * j - 1], e[2 * j]
+        a = deriv(x, p, x1, p1, x2, p2, e0)
+        b = deriv(x + half * a[0], p + half * a[1], x1 + half * a[2],
+                  p1 + half * a[3], x2 + half * a[4], p2 + half * a[5], e1)
+        c = deriv(x + half * b[0], p + half * b[1], x1 + half * b[2],
+                  p1 + half * b[3], x2 + half * b[4], p2 + half * b[5], e1)
+        d = deriv(x + dt * c[0], p + dt * c[1], x1 + dt * c[2],
+                  p1 + dt * c[3], x2 + dt * c[4], p2 + dt * c[5], e2)
+        x = x + sixth * (a[0] + 2 * b[0] + 2 * c[0] + d[0])
+        p = p + sixth * (a[1] + 2 * b[1] + 2 * c[1] + d[1])
+        x1 = x1 + sixth * (a[2] + 2 * b[2] + 2 * c[2] + d[2])
+        p1 = p1 + sixth * (a[3] + 2 * b[3] + 2 * c[3] + d[3])
+        x2 = x2 + sixth * (a[4] + 2 * b[4] + 2 * c[4] + d[4])
+        p2 = p2 + sixth * (a[5] + 2 * b[5] + 2 * c[5] + d[5])
+        s = (x, p, x1, p1, x2, p2)
+        if j % store_stride == 0:
+            rows.append(s)
+        if (j % _CHECK_EVERY == 0 or j == n_steps) and not all(map(math.isfinite, s)):
+            return rows, j
+    return rows, None

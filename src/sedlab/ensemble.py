@@ -1,9 +1,12 @@
 """Reproducible parallel ensembles and the statistics of the transition.
 
 Trajectory i draws its field phases from seed splitmix64(master_seed XOR i)
-(pairs share a seed under common-noise pairing), work is distributed over
-fixed chunks of trajectory indices, and every reduction runs in index order
-after the workers finish -- reports are bit-identical for any worker count.
+(pairs share a seed under common-noise pairing), and work is distributed
+over fixed chunks of trajectory indices.  Members are independent lanes, so
+a nonlinear force splits each chunk across forked worker processes; a
+linear force runs in this process, where its banded solve is faster than
+the cost of a pool.  Every reduction runs in index order after the workers
+finish -- reports are bit-identical for any worker count.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -15,19 +18,14 @@ are refused: the per-trajectory averages would not be meaningful.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import _n_steps, _validate_step, rk4_core, synthesize_drive
-from .errors import (
-    ConfigurationError,
-    EscapeError,
-    IntegrationDivergedError,
-    StatisticsError,
-)
+from .errors import ConfigurationError, IntegrationDivergedError, StatisticsError
 from .forces import ForceModel
 from .rng import derive_seed, gaussian_pair
 from .zpf import ModeSet, PhysicalScales, build_mode_set, sample_realization
@@ -189,9 +187,16 @@ def _member_ic(config: EnsembleConfig, member: int) -> tuple[float, float]:
     raise ConfigurationError(f"unknown initial-condition spec {type(ic).__name__}")
 
 
-def _run_chunk(config: EnsembleConfig, mode_set: ModeSet, members: range):
+def _run_chunk(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
+               members: range) -> list:
+    """Integrate the ensemble members in `members`, a range of indices.
+
+    Writes their decimated x, p and, when out has a third plane, drive into
+    the rows `members` of out[0], out[1] and out[2].  A member that escapes
+    or diverges gets NaN rows and is listed in the returned `diverged` as
+    (member, t_fail).
+    """
     n_steps = _n_steps(config.t_span, config.dt)
-    stride = config.decimate_stride
     drive = np.empty((len(members), 2 * n_steps + 1))
     x0 = np.empty(len(members))
     p0 = np.empty(len(members))
@@ -199,65 +204,116 @@ def _run_chunk(config: EnsembleConfig, mode_set: ModeSet, members: range):
         realization = sample_realization(mode_set, _member_seed(config, member))
         drive[row] = synthesize_drive(realization, 0.0, config.dt, n_steps)
         x0[row], p0[row] = _member_ic(config, member)
-    diverged: list[tuple[int, float]] = []
-    try:
-        xs, ps, es = rk4_core(
-            config.scales, config.force, drive, x0, p0, config.dt, n_steps, stride
-        )
-    except (IntegrationDivergedError, EscapeError):
-        # fall back to per-member integration so only the bad members are lost
-        n_out = n_steps // stride + 1
-        xs = np.full((len(members), n_out), np.nan)
-        ps = np.full((len(members), n_out), np.nan)
-        es = np.full((len(members), n_out), np.nan)
-        for row, member in enumerate(members):
-            try:
-                xr, pr, er = rk4_core(
-                    config.scales, config.force, drive[row : row + 1],
-                    x0[row : row + 1], p0[row : row + 1], config.dt, n_steps, stride,
-                )
-                xs[row], ps[row], es[row] = xr[0], pr[0], er[0]
-            except (IntegrationDivergedError, EscapeError) as exc:
-                diverged.append((member, exc.t_fail if exc.t_fail is not None else np.nan))
-    return xs, ps, es, diverged
+    *series, fails = rk4_core(
+        config.scales, config.force, drive, x0, p0, config.dt, n_steps,
+        config.decimate_stride, per_member=True,
+    )
+    del drive  # the largest array of a chunk: not resident while out fills
+    for plane, rows in zip(out, series):
+        plane[members.start : members.stop] = rows
+    return [(member, fail[0] * config.dt)
+            for member, fail in zip(members, fails) if fail is not None]
 
 
-def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> EnsembleReport:
-    """Run the configured ensemble; bit-identical for any worker count.
-
-    Chunks of trajectory indices are fixed by the config (never by the pool),
-    and per-chunk results are assembled in index order, so the report depends
-    only on (config, master_seed).  Diverged members are excluded and counted;
-    more than 1% divergence fails the run.
-    """
+def _worker_count(n_workers: int | None) -> int:
     if n_workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
+        raw = os.environ.get(WORKERS_ENV)
+        if raw is None:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
         try:
             n_workers = int(raw)
         except ValueError:
             raise ConfigurationError(
                 f"{WORKERS_ENV} must be an integer, got {raw!r}"
             ) from None
-    n_workers = max(1, n_workers)
+    return max(1, n_workers)
+
+
+def _can_fork() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _shared_empty(shape: tuple) -> np.ndarray:
+    """A float64 array in anonymous shared memory, which forked processes
+    write into in place."""
+    import mmap
+
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
+
+
+_FORKED = None  # (config, mode_set, out) of a forked worker, set at its start
+
+
+def _init_forked(*state):
+    global _FORKED
+    _FORKED = state
+
+
+def _run_forked(members: range) -> list:
+    return _run_chunk(*_FORKED, members)
+
+
+def _split(members: range, n_parts: int) -> list[range]:
+    """members cut into n_parts contiguous sub-ranges of near-equal length."""
+    n = len(members)
+    return [members[n * k // n_parts : n * (k + 1) // n_parts] for k in range(n_parts)]
+
+
+def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> EnsembleReport:
+    """Run the configured ensemble; bit-identical for any worker count.
+
+    Chunks of trajectory indices are fixed by the config, and every member
+    writes its own rows, so the report depends only on (config,
+    master_seed).  A nonlinear force splits each chunk's members into
+    n_workers contiguous sub-ranges (n_workers defaults to SEDLAB_WORKERS,
+    else to every CPU this process may run on, and is capped by the chunk
+    size): this process integrates the first and n_workers - 1 forked
+    worker processes the others, writing into shared memory, one chunk at
+    a time, so all processes together hold one chunk's drive.  A linear
+    force, n_workers=1 or a platform without fork runs in this process
+    alone.  No worker outlives the call.  Diverged members are excluded and
+    counted; more than 1% divergence fails the run.
+    """
+    n_workers = _worker_count(n_workers)
     mode_set = config.mode_set()
     n_mem = config.n_members
     chunks = [range(lo, min(lo + config.chunk_size, n_mem))
               for lo in range(0, n_mem, config.chunk_size)]
-
-    if n_workers == 1:
-        results = [_run_chunk(config, mode_set, c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_run_chunk, config, mode_set, c) for c in chunks]
-            results = [f.result() for f in futures]  # index order, not completion order
-
+    n_workers = min(n_workers, len(chunks[0]))
     n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
     t = config.dt * stride * np.arange(n_steps // stride + 1)
-    x = np.vstack([r[0] for r in results])
-    p = np.vstack([r[1] for r in results])
-    drive = np.vstack([r[2] for r in results]) if config.retain_drive else None
-    diverged = [d for r in results for d in r[3]]
+    shape = (3 if config.retain_drive else 2, n_mem, t.size)
+    diverged = []
+    if n_workers > 1 and np.any(config.force._c2) and _can_fork():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        out = _shared_empty(shape)
+        # under fork the initargs are not pickled: the workers inherit
+        # (config, mode_set, out), the shared output included
+        with ProcessPoolExecutor(n_workers - 1,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_forked,
+                                 initargs=(config, mode_set, out)) as pool:
+            for chunk in chunks:
+                first, *rest = _split(chunk, min(n_workers, len(chunk)))
+                futures = [pool.submit(_run_forked, part) for part in rest]
+                diverged += _run_chunk(config, mode_set, out, first)
+                for future in futures:  # index order
+                    diverged += future.result()
+    else:
+        out = np.empty(shape)
+        for chunk in chunks:
+            diverged += _run_chunk(config, mode_set, out, chunk)
+
+    x, p = out[0], out[1]
+    drive = out[2] if config.retain_drive else None
     if len(diverged) > 0.01 * n_mem:
         raise IntegrationDivergedError(
             f"{len(diverged)} of {n_mem} members diverged (> 1%)"

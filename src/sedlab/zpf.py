@@ -93,6 +93,10 @@ class PhysicalScales:
 #: Reference configuration used throughout the test bench.
 REF = PhysicalScales(hbar=1.0, m=1.0, omega0=1.0, tau=1e-2)
 
+# hard limit on the samples per realization in empirical_correlation: each
+# buffer of that many float64 samples takes 128 MB
+MAX_CORRELATION_SAMPLES = 16_000_000
+
 
 @dataclass(frozen=True)
 class ModeSet:
@@ -469,7 +473,13 @@ def empirical_correlation(
     steps = np.round(lags / sample_dt)
     if not np.all(steps >= 0):
         raise ConfigurationError("lags must be non-negative")
-    n_samp = int(np.floor((t_hi - t_lo) / sample_dt)) + 1
+    n_samp = np.floor((t_hi - t_lo) / sample_dt) + 1
+    if not n_samp <= MAX_CORRELATION_SAMPLES:
+        raise ResourceLimitError(
+            f"sample count {n_samp:.4g} per realization (sample_dt = {sample_dt:g}) "
+            f"exceeds the configured hard limit {MAX_CORRELATION_SAMPLES}"
+        )
+    n_samp = int(n_samp)
     # checked on floats: a stride too large for the window may not fit an int
     if n_samp - steps.max() < 16:
         raise StatisticsError("window too short for the requested lags")

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,18 @@ REF_OMEGA_CUT = 20.0
 REF_T_SPAN = 2000.0
 REF_DT = 0.016
 REF_BURN_IN = 500.0
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a child process is still alive."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"child processes left running: {left}")
 
 
 @pytest.fixture(scope="session")

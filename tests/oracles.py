@@ -323,3 +323,60 @@ def rk4_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1
                 xs[:, k_out], ps[:, k_out], es[:, k_out] = x, p, drive_half[:, 2 * j]
                 k_out += 1
     return xs, ps, es
+
+
+def hierarchy_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1):
+    """hierarchy_terms' RK4 over (x0, p0, x1, p1, x2, p2) as a numpy loop.
+
+    drive_half holds the drive at k*dt/2; f and its first three derivatives
+    are evaluated by polyval on the force's coefficients.  Returns the
+    (6, n_steps//store_stride + 1) array of decimated states.  Finiteness is
+    checked every 256 steps and at the last; a non-finite state raises
+    IntegrationDivergedError at that step's time.
+    """
+    m, tau = scales.m, scales.tau
+    c = np.asarray(force.coeffs, dtype=np.float64)
+    c1 = P.polyder(c)
+    c2 = P.polyder(c1)
+    c3 = P.polyder(c2)
+
+    def deriv(state, e):
+        x, p, x1, p1, x2, p2 = state
+        fpx = P.polyval(x, c1)
+        fppx = P.polyval(x, c2)
+        a0 = (P.polyval(x, c) + tau * fpx * (p / m)) / m
+        a1 = (fpx * x1 + tau * (fppx * x1 * (p / m) + fpx * (p1 / m)) + e) / m
+        a2 = (
+            fpx * x2
+            + 0.5 * fppx * x1**2
+            + tau * (
+                fppx * x2 * (p / m)
+                + fpx * (p2 / m)
+                + fppx * x1 * (p1 / m)
+                + 0.5 * P.polyval(x, c3) * x1**2 * (p / m)
+            )
+        ) / m
+        return np.array([p / m, m * a0, p1 / m, m * a1, p2 / m, m * a2])
+
+    state = np.array([x0, p0, 0.0, 0.0, 0.0, 0.0])
+    n_out = n_steps // store_stride + 1
+    out = np.empty((6, n_out))
+    out[:, 0] = state
+    k_out = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            e0, e1, e2 = drive_half[2 * j], drive_half[2 * j + 1], drive_half[2 * j + 2]
+            k1 = deriv(state, e0)
+            k2 = deriv(state + 0.5 * dt * k1, e1)
+            k3 = deriv(state + 0.5 * dt * k2, e1)
+            k4 = deriv(state + dt * k3, e2)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (j + 1) % store_stride == 0:
+                out[:, k_out] = state
+                k_out += 1
+            if ((j + 1) % 256 == 0 or j == n_steps - 1) and not np.all(np.isfinite(state)):
+                raise IntegrationDivergedError(
+                    f"non-finite hierarchy state near t = {(j + 1) * dt:g}",
+                    t_fail=(j + 1) * dt,
+                )
+    return out

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sedlab import cli
+from sedlab.config import window_from
+from sedlab.errors import ConfigurationError
 
 
 def write_config(path: Path, **sections) -> Path:
@@ -47,9 +49,13 @@ CORRELATE = {"n_realizations": 4, "seed": 3, "total_time": 50.0, "sample_dt": 0.
     ("correlate", {"correlate": dict(CORRELATE, lags=["a"])}, "lags"),
     ("correlate", {"correlate": dict(CORRELATE, lags=[[0.1]])}, "lags"),
     ("correlate", {"correlate": dict(CORRELATE, lags=[])}, "lags"),
+    ("balance", {"ensemble": small_ensemble_section(), "balance": {"window": [True, 5]}},
+     "window"),
+    ("balance", {"ensemble": small_ensemble_section(), "balance": {"window": 5}},
+     "window"),
 ], ids=["harmonic-no-omega0", "quartic-no-lam", "polynomial-no-coeffs",
         "string-coeff", "harmonic-with-lam", "string-x0", "string-lag",
-        "nested-lag", "no-lags"])
+        "nested-lag", "no-lags", "bool-window-end", "scalar-window"])
 def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, command,
                                                    sections, field):
     body = {"scales": SCALES, "force": FORCE, "field": FIELD, "simulate": SIMULATE}
@@ -58,6 +64,13 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, command,
     rc = cli.main([command, str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [[True, 5], 5, [1.0], [1.0, 2.0, 3.0], ["a", 5]],
+                         ids=["bool-end", "scalar", "one-end", "three-ends", "string-end"])
+def test_window_from_refuses_malformed_windows(window):
+    with pytest.raises(ConfigurationError, match="window"):
+        window_from({"window": window}, (0.0, 1.0))
 
 
 class TestSimulateCommand:
@@ -264,6 +277,15 @@ class TestCorrelateCommand:
         assert lines[0] == "lag,theoretical,empirical,stderr"
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(127.32395, abs=1e-3)
+
+
+    def test_sample_count_limit_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", scales=SCALES, field=FIELD,
+            correlate=dict(CORRELATE, lags=[0.0, 0.1], sample_dt=1e-15),
+        )
+        assert cli.main(["correlate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("resource limit:")
 
 
 class TestManifestReplay:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import sedlab as sl
 from sedlab import dynamics
 
-from oracles import causal_convolution_direct, rk4_reference
+from oracles import causal_convolution_direct, hierarchy_reference, rk4_reference
 
 
 def _ref_realization(total_time, seed=4242, oversample=2.0, omega_cut=20.0):
@@ -80,6 +80,13 @@ class TestIntegrator:
         assert h.max() < 100.0  # stays desk-scale for a confining force
 
 
+def _step_loop(scales, force, drive, x0, p0, dt, n_steps, stride=1, t0=0.0):
+    """The step loop for any force, raising as rk4_core does."""
+    xs, ps, es, fails = dynamics._rk4_loop(scales, force, drive, x0, p0, dt, n_steps, stride)
+    dynamics._raise_failure(fails, force.escape_bound, t0, dt)
+    return xs, ps, es
+
+
 def _max_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
@@ -116,7 +123,7 @@ class TestAffineRecurrence:
         args = (scales, force, drive, np.asarray(x0, float), np.asarray(p0, float),
                 dt, n_steps, stride, t0)
         fast = dynamics.rk4_core(*args)
-        ref = dynamics._rk4_loop(*args)
+        ref = _step_loop(*args)
         assert fast[0].shape == ref[0].shape == (len(x0), n_steps // stride + 1)
         assert _max_rel(fast[0], ref[0]) <= 1e-10
         assert _max_rel(fast[1], ref[1]) <= 1e-10
@@ -183,7 +190,7 @@ class TestAffineRecurrence:
         args = (sl.REF, runaway, drive, np.array([1e-3, 1.0]), np.zeros(2),
                 dt, n_steps, 1, 2.0)
         failures = []
-        for integrate in (dynamics.rk4_core, dynamics._rk4_loop):
+        for integrate in (dynamics.rk4_core, _step_loop):
             with pytest.raises(sl.EscapeError) as exc:
                 integrate(*args)
             failures.append(exc.value)
@@ -202,7 +209,7 @@ class TestAffineRecurrence:
         args = (sl.REF, repulsive, np.zeros((1, 2 * n_steps + 1)), np.array([1.0]),
                 np.zeros(1), dt, n_steps, 1, 0.0)
         failures = []
-        for integrate in (dynamics.rk4_core, dynamics._rk4_loop):
+        for integrate in (dynamics.rk4_core, _step_loop):
             with pytest.raises(sl.IntegrationDivergedError) as exc:
                 integrate(*args)
             failures.append(exc.value.t_fail)
@@ -290,6 +297,34 @@ class TestStepLoop:
         assert t0 < batch.value.t_fail < t0 + n_steps * dt
         assert batch.value.t_fail == alone.value.t_fail == ref.value.t_fail
         assert batch.value.x == alone.value.x == ref.value.x
+
+    @pytest.mark.parametrize("force, x0", [
+        (sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0), [0.5, 2.5, 1.6]),
+        (sl.polynomial([0.0, 25.0], escape_bound=5.0), [0.0, 1.0, 1e-3]),
+    ], ids=["loop", "band"])
+    def test_per_member_failures(self, force, x0):
+        # members 1 and 2 fail at their own steps, member 0 never; each
+        # failure is the one the member raises alone, and its rows are NaN
+        dt, n_steps, t0 = 0.01, 5000, 2.0
+        drive = np.zeros((3, 2 * n_steps + 1))
+        x0 = np.array(x0)
+        xs, ps, es, fails = dynamics.rk4_core(sl.REF, force, drive, x0, np.zeros(3), dt,
+                                              n_steps, 1, t0, per_member=True)
+        assert fails[0] is None and fails[1] is not None and fails[2] is not None
+        assert fails[1][0] < fails[2][0]
+        alone = dynamics.rk4_core(sl.REF, force, drive[:1], x0[:1], np.zeros(1), dt,
+                                  n_steps, 1, t0)
+        for a, b in zip((xs, ps, es), alone):
+            assert np.array_equal(a[0], b[0])
+        for row in (1, 2):
+            assert np.isnan(xs[row]).all() and np.isnan(ps[row]).all()
+            assert np.isnan(es[row]).all()
+            with pytest.raises(sl.EscapeError) as exc:
+                dynamics.rk4_core(sl.REF, force, drive[row:row + 1], x0[row:row + 1],
+                                  np.zeros(1), dt, n_steps, 1, t0)
+            step, kind, worst = fails[row]
+            assert kind == 0
+            assert (exc.value.t_fail, exc.value.x) == (t0 + step * dt, worst)
 
     def test_escapes_at_one_step_report_the_largest_x(self):
         runaway = sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0)
@@ -512,6 +547,16 @@ class TestResponses:
             sl.first_order_response(g, r, np.array([0.0, 0.1, 0.15]))
 
 
+def _hierarchy_failure(r, t_span, dt=0.01):
+    """t_fail of hierarchy_reference for f = 25x from x = 1 in realization r."""
+    n_steps = int(round(t_span / dt))
+    drive = dynamics.synthesize_drive(r, 0.0, dt, n_steps)
+    with pytest.raises(sl.IntegrationDivergedError) as exc:
+        hierarchy_reference(sl.REF, sl.polynomial([0.0, 25.0]), drive, 1.0, 0.0, dt,
+                            n_steps)
+    return exc.value.t_fail
+
+
 class TestHierarchy:
     def test_residual_shrinks_eightfold(self):
         # x_full - (x0 + x1 + x2) is third order in the drive amplitude
@@ -542,6 +587,32 @@ class TestHierarchy:
         with pytest.raises(sl.IntegrationDivergedError) as exc:
             sl.hierarchy_terms(sl.REF, sl.polynomial([0.0, 25.0]), r, 1.0, 0.0, 71.0, 0.01)
         assert 0.0 < exc.value.t_fail <= 71.0
+        assert exc.value.t_fail == _hierarchy_failure(r, 71.0) == 71.0
+
+    def test_divergence_is_seen_at_the_check_cadence(self):
+        # the same run over 10000 steps: the check at step 7168 = 28 * 256
+        # is the first to see the non-finite state
+        r = _ref_realization(150.0, seed=3)
+        with pytest.raises(sl.IntegrationDivergedError) as exc:
+            sl.hierarchy_terms(sl.REF, sl.polynomial([0.0, 25.0]), r, 1.0, 0.0, 100.0,
+                               0.01)
+        assert exc.value.t_fail == _hierarchy_failure(r, 100.0) == 7168 * 0.01
+
+    @pytest.mark.parametrize("force, t_span, stride", [
+        (sl.quartic(1.0, 0.1), 100.0, 1),
+        (sl.polynomial([0.1, -1.0, 0.05, -0.2, 0.03, -0.01]), 30.0, 1),
+        (sl.harmonic(1.0), 30.0, 1),
+        (sl.quartic(1.0, 0.1), 30.0, 7),
+    ], ids=["quartic", "degree-five", "harmonic", "stride-7"])
+    def test_bit_identical_to_the_numpy_loop(self, force, t_span, stride):
+        r = _ref_realization(t_span)
+        h = sl.hierarchy_terms(sl.REF, force, r, 1.0, -0.3, t_span, 0.01,
+                               store_stride=stride)
+        n_steps = int(round(t_span / 0.01))
+        drive = dynamics.synthesize_drive(r, 0.0, 0.01, n_steps)
+        ref = hierarchy_reference(sl.REF, force, drive, 1.0, -0.3, 0.01, n_steps, stride)
+        for row, name in enumerate(("x0", "p0", "x1", "p1", "x2", "p2")):
+            assert np.array_equal(_bits(h[name]), _bits(ref[row])), name
 
     def test_zeroth_component_matches_zeroth_order(self):
         force = sl.quartic(1.0, 0.1)

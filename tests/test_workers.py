@@ -1,0 +1,142 @@
+"""The nonlinear-force ensemble across forked worker processes.
+
+A nonlinear force splits each chunk's members across worker processes; the
+report must not depend on how many there are, a failed member must come
+back as a NaN row plus its `diverged` entry, and an error raised in a
+worker must reach the caller unchanged.  The conftest fixture checks that
+no worker outlives a test.
+"""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import sedlab as sl
+from sedlab import ensemble
+from sedlab.ensemble import WORKERS_ENV
+
+
+def _same(a, b):
+    assert np.array_equal(a.x, b.x, equal_nan=True)
+    assert np.array_equal(a.p, b.p, equal_nan=True)
+    assert np.array_equal(a.drive, b.drive, equal_nan=True)
+    assert a.diverged == b.diverged
+    for name in a.moments:
+        for ours, theirs in zip(a.moments[name], b.moments[name]):
+            assert np.array_equal(ours, theirs)
+
+
+def _quartic_config(chunk_size):
+    return sl.EnsembleConfig(
+        scales=sl.PhysicalScales(tau=2e-2), force=sl.quartic(1.0, 0.1), omega_cut=20.0,
+        n_traj=7, master_seed=8_675_309, t_span=60.0, dt=0.016, burn_in=10.0,
+        initial_conditions=sl.GaussianIC(x0_sd=0.5, p0_sd=0.5), chunk_size=chunk_size,
+    )
+
+
+@pytest.mark.parametrize("chunk_size", [5, 7], ids=["chunks-5-2", "chunk-7"])
+def test_quartic_bit_identical_for_any_worker_count(monkeypatch, chunk_size):
+    # 5 members split over 2 or 4 workers, 2 over 4 (two idle), 7 over 2 or 4
+    cfg = _quartic_config(chunk_size)
+    ref = sl.run_ensemble(cfg, n_workers=1)
+    for n_workers in (2, 4):
+        _same(ref, sl.run_ensemble(cfg, n_workers=n_workers))
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    _same(ref, sl.run_ensemble(cfg))
+
+
+def test_split_is_contiguous_and_covers_the_chunk():
+    for n, parts in ((5, 2), (5, 4), (2, 2), (64, 3)):
+        chunk = range(10, 10 + n)
+        pieces = ensemble._split(chunk, parts)
+        assert len(pieces) == parts
+        assert [m for piece in pieces for m in piece] == list(chunk)
+        assert max(map(len, pieces)) - min(map(len, pieces)) <= 1
+
+
+# 100 members with an anti-confining force beyond |x| = sqrt(2): at this
+# master seed exactly member 34 escapes, at t = 7.25, which is what the
+# per-member re-integration of the previous runner reported as well
+ESCAPE_SEED, ESCAPE_MEMBER, ESCAPE_T = 28, 34, 7.25
+
+
+def _escape_config():
+    return sl.EnsembleConfig(
+        scales=sl.REF, force=sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0),
+        omega_cut=5.0, n_traj=100, master_seed=ESCAPE_SEED, t_span=20.0, dt=0.05,
+        burn_in=0.0, initial_conditions=sl.GaussianIC(x0_sd=0.5), chunk_size=33,
+    )
+
+
+def test_escaped_member_is_a_nan_row_for_any_worker_count():
+    cfg = _escape_config()
+    ref = sl.run_ensemble(cfg, n_workers=1)
+    assert ref.diverged == [(ESCAPE_MEMBER, ESCAPE_T)]
+    failed = ~np.isfinite(ref.x).all(axis=1)
+    assert np.flatnonzero(failed).tolist() == [ESCAPE_MEMBER]
+    for series in (ref.x, ref.p, ref.drive):
+        assert np.isnan(series[ESCAPE_MEMBER]).all()
+        assert np.isfinite(series[~failed]).all()
+    for n_workers in (2, 4):
+        _same(ref, sl.run_ensemble(cfg, n_workers=n_workers))
+
+
+def test_escaped_member_alone_matches_its_row_and_time():
+    # each member integrated on its own, as a single trajectory: the escape
+    # time of member 34 and the rows of its neighbours in the same chunk
+    cfg = _escape_config()
+    report = sl.run_ensemble(cfg, n_workers=2)
+    stride = cfg.decimate_stride
+    for member in (ESCAPE_MEMBER - 1, ESCAPE_MEMBER, ESCAPE_MEMBER + 1):
+        realization = sl.sample_realization(cfg.mode_set(),
+                                            ensemble._member_seed(cfg, member))
+        x0, p0 = ensemble._member_ic(cfg, member)
+        args = (cfg.scales, cfg.force, realization, x0, p0, cfg.t_span, cfg.dt, stride)
+        if member == ESCAPE_MEMBER:
+            with pytest.raises(sl.EscapeError) as exc:
+                sl.integrate_trajectory(*args)
+            assert exc.value.t_fail == ESCAPE_T
+        else:
+            alone = sl.integrate_trajectory(*args)
+            assert np.array_equal(alone.x, report.x[member])
+            assert np.array_equal(alone.p, report.p[member])
+            assert np.array_equal(alone.drive, report.drive[member])
+
+
+def test_error_in_a_worker_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+    rk4_core = ensemble.rk4_core
+
+    def escaping_in_workers(*args, **kwargs):
+        if os.getpid() == parent:
+            return rk4_core(*args, **kwargs)
+        raise sl.EscapeError(f"escape in process {os.getpid()}", t_fail=3.5, x=9.25)
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(ensemble, "rk4_core", escaping_in_workers)
+    with pytest.raises(sl.EscapeError) as exc:
+        sl.run_ensemble(_quartic_config(7), n_workers=2)
+    assert (exc.value.t_fail, exc.value.x) == (3.5, 9.25)
+    assert str(exc.value).startswith("escape in process")
+
+
+def test_linear_force_never_starts_a_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a linear force must run in-process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    sl.run_ensemble(replace(_quartic_config(7), force=sl.harmonic(1.0)), n_workers=4)
+
+
+def test_without_fork_the_run_stays_in_process(monkeypatch):
+    import multiprocessing
+
+    cfg = _quartic_config(5)
+    ref = sl.run_ensemble(cfg, n_workers=1)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert not ensemble._can_fork()
+    _same(ref, sl.run_ensemble(cfg, n_workers=2))

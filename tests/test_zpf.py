@@ -275,6 +275,13 @@ class TestEmpiricalCorrelation:
         with pytest.raises(error, match=field):
             sl.empirical_correlation(reals, lags, sample_dt=sample_dt)
 
+    def test_sample_count_limit(self):
+        # 5e16 samples per realization: refused before any allocation
+        ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0)
+        reals = [sl.sample_realization(ms, s) for s in (1, 2)]
+        with pytest.raises(sl.ResourceLimitError, match="sample count"):
+            sl.empirical_correlation(reals, [0.0, 0.1], sample_dt=1e-15)
+
     def test_default_sample_dt_on_the_comb(self, monkeypatch):
         # old default 2 pi/(8 omega_cut) is off this comb: 8*omega_cut/dw = 5093.0
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0, oversample=4.0)
