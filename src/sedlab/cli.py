@@ -73,6 +73,8 @@ EXIT_DIVERGED = 3
 EXIT_STATISTICS = 4
 EXIT_INTERNAL = 5
 
+BASIS_SIZE = 200  # default basis of diagonalize_potential (matrix, balance)
+
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> None:
     scales = build_scales(cfg)
@@ -81,12 +83,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> None:
     seed = sim.get("seed", 0)
     realization = None
     if sim.get("with_field", True) and "field" in cfg:
-        mode_set = build_mode_set(
-            scales,
-            omega_cut=cfg["field"]["omega_cut"],
-            total_time=sim["t_span"],
-            oversample=cfg["field"].get("oversample", 1.0),
-        )
+        mode_set = build_mode_set(scales, total_time=sim["t_span"], **cfg["field"])
         realization = sample_realization(mode_set, seed)
     traj = integrate_trajectory(
         scales, force, realization, sim["x0"], sim["p0"], sim["t_span"], sim["dt"],
@@ -146,7 +143,7 @@ def _build_matrix(cfg: dict):
     if potential == "force":
         if "force" not in cfg:
             raise ConfigurationError("matrix.potential = 'force' requires a force section")
-        basis = body.get("basis_size", 200)
+        basis = body.get("basis_size", BASIS_SIZE)
         return scales, diagonalize_potential(scales, build_force(cfg), basis)
     raise ConfigurationError(f"unknown matrix.potential '{potential}'")
 
@@ -188,7 +185,7 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
     if econf.force.kind == "harmonic":
         tm = oscillator_matrices(scales, 8)
     else:
-        tm = diagonalize_potential(scales, econf.force, body.get("basis_size", 200))
+        tm = diagonalize_potential(scales, econf.force, body.get("basis_size", BASIS_SIZE))
     state = body.get("state", 0)
     dpp_pred = trace_dpp(tm, scales, state, omega_cut=econf.omega_cut)
     dpx_pred = trace_dpx(tm, scales, state, econf.omega_cut)
@@ -260,12 +257,7 @@ def cmd_spectrum(cfg: dict, out_dir: Path) -> None:
 def cmd_correlate(cfg: dict, out_dir: Path) -> None:
     scales = build_scales(cfg)
     body = cfg["correlate"]
-    mode_set = build_mode_set(
-        scales,
-        omega_cut=cfg["field"]["omega_cut"],
-        total_time=body["total_time"],
-        oversample=cfg["field"].get("oversample", 1.0),
-    )
+    mode_set = build_mode_set(scales, total_time=body["total_time"], **cfg["field"])
     seed = body["seed"]
     realizations = [
         sample_realization(mode_set, derive_seed(seed, i))

@@ -1,92 +1,92 @@
 """Strict JSON configuration for the batch commands.
 
 One schema is shared by all subcommands; each command states which sections
-it requires.  Unknown keys are errors, not warnings: silently ignored keys
-would break reproducibility from manifests.  Error messages name the
-offending field and, where possible, the line in the config file.
+it requires.  A section built by one constructor takes its keys, required
+keys and defaults from that constructor's signature; only the sections read
+by the command line alone list their keys here.  Every value is a finite
+number unless its key's name is in `_RULES`.  Unknown keys are errors, not
+warnings: silently ignored keys would break reproducibility from manifests.
+Error messages name the offending field and, where possible, the line in
+the config file.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import sys
 from pathlib import Path
 
 from .ensemble import EnsembleConfig, FixedIC, GaussianIC, PairedIC
 from .errors import ConfigurationError
 from .forces import ForceModel, harmonic, polynomial, quartic
-from .zpf import PhysicalScales
+from .zpf import PhysicalScales, build_mode_set
 
 SCHEMA_VERSION = 1
 
-# section -> key -> (required, type tuple)
-_NUM = (int, float)
-_SCHEMA: dict[str, dict[str, tuple[bool, tuple]]] = {
-    "scales": {
-        "hbar": (True, _NUM),
-        "m": (True, _NUM),
-        "omega0": (True, _NUM),
-        "tau": (True, _NUM),
-    },
-    "force": {
-        "kind": (True, (str,)),
-        "omega0": (False, _NUM),
-        "m": (False, _NUM),
-        "lam": (False, _NUM),
-        "coeffs": (False, (list,)),
-        "escape_bound": (False, _NUM),
-    },
-    "field": {
-        "omega_cut": (True, _NUM),
-        "oversample": (False, _NUM),
-    },
-    "simulate": {
-        "x0": (True, _NUM),
-        "p0": (True, _NUM),
-        "t_span": (True, _NUM),
-        "dt": (True, _NUM),
-        "seed": (False, (int,)),
-        "with_field": (False, (bool,)),
-        "store_stride": (False, (int,)),
-    },
-    "ensemble": {
-        "n_traj": (True, (int,)),
-        "master_seed": (True, (int,)),
-        "t_span": (True, _NUM),
-        "dt": (True, _NUM),
-        "burn_in": (True, _NUM),
-        "initial_conditions": (False, (dict,)),
-        "retain_drive": (False, (bool,)),
-        "chunk_size": (False, (int,)),
-    },
-    "matrix": {
-        "potential": (True, (str,)),
-        "n_states": (False, (int,)),
-        "basis_size": (False, (int,)),
-    },
-    "balance": {
-        "window": (False, (list,)),
-        "state": (False, (int,)),
-        "basis_size": (False, (int,)),
-    },
-    "spectrum": {
-        "window": (False, (list,)),
-    },
-    "correlate": {
-        "n_realizations": (True, (int,)),
-        "lags": (True, (list,)),
-        "seed": (True, (int,)),
-        "total_time": (True, _NUM),
-        "sample_dt": (False, _NUM),
-    },
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(val) -> bool:
+    """A finite number: no bool, NaN or infinity, and no int beyond float
+    range (compared exactly, without the OverflowError of a float cast)."""
+    return type(val) in (int, float) and -_FLOAT_MAX <= val <= _FLOAT_MAX
+
+
+def _is_numbers(val) -> bool:
+    return type(val) is list and all(map(_is_number, val))
+
+
+# key name -> (rule, what the rule asks for); every other key holds a finite
+# number, and a key in _KINDS holds a section of its own
+_NUMBER = (_is_number, "a finite number")
+_RULES = {
+    **dict.fromkeys(("kind", "potential"), (lambda v: type(v) is str, "a string")),
+    **dict.fromkeys(("with_field", "retain_drive"), (lambda v: type(v) is bool, "a boolean")),
+    **dict.fromkeys(
+        ("n_traj", "master_seed", "chunk_size", "seed", "store_stride", "n_states",
+         "basis_size", "state", "n_realizations"),
+        (lambda v: type(v) is int and _is_number(v), "an integer"),
+    ),
+    "coeffs": (_is_numbers, "a list of finite numbers"),
+    "lags": (lambda v: _is_numbers(v) and len(v) > 0, "a non-empty list of finite numbers"),
+    "window": (lambda v: _is_numbers(v) and len(v) == 2, "[t_lo, t_hi] of two finite numbers"),
 }
 
-_FORCES = {"harmonic": harmonic, "quartic": quartic, "polynomial": polynomial}
+# sections whose 'kind' names the constructor that consumes them
+_KINDS = {
+    "force": {"harmonic": harmonic, "quartic": quartic, "polynomial": polynomial},
+    "initial_conditions": {"fixed": FixedIC, "paired": PairedIC, "gaussian": GaussianIC},
+}
 
-_IC_SCHEMA = {
-    "fixed": {"x0", "p0"},
-    "paired": {"x0a", "x0b"},
-    "gaussian": {"x0_mean", "x0_sd", "p0_mean", "p0_sd"},
+
+def _params(ctor) -> dict[str, bool]:
+    """key -> required, from the signature of the constructor."""
+    return {k: p.default is p.empty for k, p in inspect.signature(ctor).parameters.items()}
+
+
+def _keys(required: str, optional: str = "") -> dict[str, bool]:
+    return {**dict.fromkeys(required.split(), True), **dict.fromkeys(optional.split(), False)}
+
+
+_ENSEMBLE = _params(EnsembleConfig)
+del _ENSEMBLE["scales"], _ENSEMBLE["force"]  # built from their own sections
+# 'field' holds what EnsembleConfig passes on to build_mode_set
+_FIELD = {k: _ENSEMBLE.pop(k) for k in inspect.signature(build_mode_set).parameters
+          if k in _ENSEMBLE}
+
+# section -> key -> required; None takes the keys from the section's kind
+_SECTIONS = {
+    "scales": dict.fromkeys(_params(PhysicalScales), True),  # no unit is implied
+    "force": None,
+    "field": _FIELD,
+    "ensemble": _ENSEMBLE,
+    # read by the command line alone
+    "simulate": _keys("x0 p0 t_span dt", "seed with_field store_stride"),
+    "matrix": _keys("potential", "n_states basis_size"),
+    "balance": _keys("", "window state basis_size"),
+    "spectrum": _keys("", "window"),
+    "correlate": _keys("n_realizations lags seed total_time", "sample_dt"),
 }
 
 COMMAND_SECTIONS = {
@@ -99,10 +99,6 @@ COMMAND_SECTIONS = {
 }
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, _NUM) and not isinstance(val, bool)
-
-
 def _line_of(raw: str, key: str) -> str:
     needle = f'"{key}"'
     for i, line in enumerate(raw.splitlines(), start=1):
@@ -111,111 +107,70 @@ def _line_of(raw: str, key: str) -> str:
     return ""
 
 
+def _check(name: str, body, keys: dict[str, bool] | None, fail) -> None:
+    """Check section `name` against keys (key -> required); None takes the
+    keys from the signature of the constructor its 'kind' names."""
+    leaf = name.rpartition(".")[2]
+    if type(body) is not dict:
+        fail(f"section '{name}' must be an object", leaf)
+    if keys is None:
+        kinds = _KINDS[leaf]
+        kind = body.get("kind")
+        if not (type(kind) is str and kind in kinds):
+            fail(f"'{name}.kind' must be one of {sorted(kinds)}, got {kind!r}", "kind")
+        keys = {"kind": True, **_params(kinds[kind])}
+    for key in body:
+        if key not in keys:
+            fail(f"unknown key '{name}.{key}'", key)
+    for key, required in keys.items():
+        if key not in body:
+            if required:
+                fail(f"missing required field '{name}.{key}'", leaf)
+        elif key in _KINDS:
+            _check(f"{name}.{key}", body[key], None, fail)
+        else:
+            rule, what = _RULES.get(key, _NUMBER)
+            if not rule(body[key]):
+                fail(f"'{name}.{key}' must be {what}", key)
+
+
 def load_config(path: str | Path, command: str) -> dict:
     """Parse and validate a config file for `command`; returns the dict."""
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
+        raise ConfigurationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an int of over 4300 digits, deep nesting
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
 
+    def fail(msg: str, key: str):
+        raise ConfigurationError(f"{path}: {msg}{_line_of(raw, key)}")
+
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-            f"{_line_of(raw, 'schema_version')}"
-        )
-    known_sections = set(_SCHEMA) | {"schema_version"}
+        fail(f"schema_version must be {SCHEMA_VERSION}, got {version!r}", "schema_version")
     for key in cfg:
-        if key not in known_sections:
-            raise ConfigurationError(f"{path}: unknown section '{key}'{_line_of(raw, key)}")
-
+        if key not in _SECTIONS and key != "schema_version":
+            fail(f"unknown section '{key}'", key)
     for section in COMMAND_SECTIONS[command]:
         if section not in cfg:
-            raise ConfigurationError(
-                f"{path}: command '{command}' requires section '{section}'"
-            )
-
+            raise ConfigurationError(f"{path}: command '{command}' requires section '{section}'")
     for section, body in cfg.items():
-        if section == "schema_version":
-            continue
-        schema = _SCHEMA[section]
-        if not isinstance(body, dict):
-            raise ConfigurationError(
-                f"{path}: section '{section}' must be an object{_line_of(raw, section)}"
-            )
-        for key in body:
-            if key not in schema:
-                raise ConfigurationError(
-                    f"{path}: unknown key '{section}.{key}'{_line_of(raw, key)}"
-                )
-        for key, (required, types) in schema.items():
-            if key in body:
-                val = body[key]
-                if not isinstance(val, types) or isinstance(val, bool) and bool not in types:
-                    raise ConfigurationError(
-                        f"{path}: '{section}.{key}' has wrong type{_line_of(raw, key)}"
-                    )
-            elif required:
-                raise ConfigurationError(
-                    f"{path}: missing required field '{section}.{key}'"
-                    f"{_line_of(raw, section)}"
-                )
-    if "force" in cfg:
-        body = dict(cfg["force"])
-        kind = body.pop("kind")
-        if kind not in _FORCES:
-            raise ConfigurationError(
-                f"{path}: 'force.kind' must be one of {sorted(_FORCES)}, "
-                f"got {kind!r}{_line_of(raw, 'kind')}"
-            )
-        # the factory's own signature says which keys this kind takes
-        try:
-            inspect.signature(_FORCES[kind]).bind(**body)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"{path}: force kind '{kind}': {exc}{_line_of(raw, 'force')}"
-            ) from None
-        if not all(map(_is_number, body.get("coeffs", []))):
-            raise ConfigurationError(
-                f"{path}: 'force.coeffs' must be a list of numbers{_line_of(raw, 'coeffs')}"
-            )
-    if "correlate" in cfg:
-        lags = cfg["correlate"]["lags"]
-        if not lags or not all(map(_is_number, lags)):
-            raise ConfigurationError(
-                f"{path}: 'correlate.lags' must be a non-empty list of numbers"
-                f"{_line_of(raw, 'lags')}"
-            )
-    if "ensemble" in cfg:
-        ic = cfg["ensemble"].get("initial_conditions")
-        if ic is not None:
-            kind = ic.get("kind")
-            if kind not in _IC_SCHEMA:
-                raise ConfigurationError(
-                    f"{path}: 'ensemble.initial_conditions.kind' must be one of "
-                    f"{sorted(_IC_SCHEMA)}, got {kind!r}"
-                )
-            extra = set(ic) - _IC_SCHEMA[kind] - {"kind"}
-            if extra:
-                raise ConfigurationError(
-                    f"{path}: unknown initial-condition key(s) {sorted(extra)}"
-                )
-            for key, val in ic.items():
-                if key != "kind" and not _is_number(val):
-                    raise ConfigurationError(
-                        f"{path}: 'ensemble.initial_conditions.{key}' must be a number"
-                        f"{_line_of(raw, key)}"
-                    )
+        if section != "schema_version":
+            _check(section, body, _SECTIONS[section], fail)
     return cfg
+
+
+def _build(kinds: dict, body: dict):
+    body = dict(body)
+    return kinds[body.pop("kind")](**body)
 
 
 def build_scales(cfg: dict) -> PhysicalScales:
@@ -223,46 +178,23 @@ def build_scales(cfg: dict) -> PhysicalScales:
 
 
 def build_force(cfg: dict) -> ForceModel:
-    body = dict(cfg["force"])
-    return _FORCES[body.pop("kind")](**body)
-
-
-def build_initial_conditions(body: dict | None):
-    if body is None:
-        return FixedIC()
-    body = dict(body)
-    kind = body.pop("kind")
-    if kind == "fixed":
-        return FixedIC(**body)
-    if kind == "paired":
-        return PairedIC(**body)
-    if kind == "gaussian":
-        return GaussianIC(**body)
-    raise ConfigurationError(f"unknown initial-condition kind '{kind}'")
+    return _build(_KINDS["force"], cfg["force"])
 
 
 def build_ensemble_config(cfg: dict) -> EnsembleConfig:
-    ens = cfg["ensemble"]
-    return EnsembleConfig(
-        scales=build_scales(cfg),
-        force=build_force(cfg),
-        omega_cut=cfg["field"]["omega_cut"],
-        oversample=cfg["field"].get("oversample", 1.0),
-        n_traj=ens["n_traj"],
-        master_seed=ens["master_seed"],
-        t_span=ens["t_span"],
-        dt=ens["dt"],
-        burn_in=ens["burn_in"],
-        initial_conditions=build_initial_conditions(ens.get("initial_conditions")),
-        retain_drive=ens.get("retain_drive", True),
-        chunk_size=ens.get("chunk_size", 64),
-    )
+    ens = dict(cfg["ensemble"])
+    if "initial_conditions" in ens:
+        ens["initial_conditions"] = _build(_KINDS["initial_conditions"],
+                                           ens["initial_conditions"])
+    return EnsembleConfig(scales=build_scales(cfg), force=build_force(cfg),
+                          **cfg["field"], **ens)
 
 
 def window_from(body: dict, default: tuple[float, float]) -> tuple[float, float]:
     win = body.get("window")
     if win is None:
         return default
-    if not (isinstance(win, list) and len(win) == 2 and all(map(_is_number, win))):
-        raise ConfigurationError(f"'window' must be [t_lo, t_hi] of two numbers, got {win!r}")
+    is_window, what = _RULES["window"]
+    if not is_window(win):
+        raise ConfigurationError(f"'window' must be {what}, got {win!r}")
     return float(win[0]), float(win[1])

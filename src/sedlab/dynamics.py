@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-from .errors import ConfigurationError, EscapeError, IntegrationDivergedError
+from .errors import (
+    ConfigurationError,
+    EscapeError,
+    IntegrationDivergedError,
+    ResourceLimitError,
+)
 from .forces import ForceModel
 from .zpf import PhysicalScales, ZpfRealization, eval_field_grid
 
@@ -51,6 +56,9 @@ __all__ = [
 _MAX_DT_OMEGA_CUT = 0.35  # >= 18 steps per period of the fastest mode
 _MAX_DT_OMEGA0 = 0.05
 _CHECK_EVERY = 256  # finiteness check cadence of the step loop
+# hard limit on the steps of one integration: its half-step drive of
+# 2*MAX_STEPS + 1 float64 samples takes 1.6 GB
+MAX_STEPS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,12 @@ def synthesize_drive(
 
 def _n_steps(t_span: float, dt: float) -> int:
     """Number of dt steps in t_span; rejects spans that are not a whole number."""
-    n_steps = int(round(t_span / dt))
+    steps = t_span / dt  # checked on floats: a count past the limit may not fit an int
+    if steps > MAX_STEPS:
+        raise ResourceLimitError(
+            f"step count {steps:.4g} (t_span/dt) exceeds the configured hard limit {MAX_STEPS}"
+        )
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - t_span) > 1e-9 * max(1.0, t_span):
         raise ConfigurationError("t_span must be a whole number of steps")
     return n_steps

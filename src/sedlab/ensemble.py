@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import _n_steps, _validate_step, rk4_core, synthesize_drive
-from .errors import ConfigurationError, IntegrationDivergedError, StatisticsError
+from .errors import (
+    ConfigurationError,
+    IntegrationDivergedError,
+    ResourceLimitError,
+    StatisticsError,
+)
 from .forces import ForceModel
 from .rng import derive_seed, gaussian_pair
 from .zpf import ModeSet, PhysicalScales, build_mode_set, sample_realization
@@ -44,6 +49,9 @@ __all__ = [
 ]
 
 WORKERS_ENV = "SEDLAB_WORKERS"
+# hard limit on a report's x, p and drive planes, about 200 times the 86 MB
+# of the 200-member reference ensemble
+MAX_REPORT_BYTES = 16 * 2**30
 
 
 @dataclass(frozen=True)
@@ -280,15 +288,21 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
     counted; more than 1% divergence fails the run.
     """
     n_workers = _worker_count(n_workers)
-    mode_set = config.mode_set()
     n_mem = config.n_members
+    n_steps = _n_steps(config.t_span, config.dt)
+    stride = config.decimate_stride
+    shape = (3 if config.retain_drive else 2, n_mem, n_steps // stride + 1)
+    nbytes = 8 * math.prod(shape)
+    if nbytes > MAX_REPORT_BYTES:
+        raise ResourceLimitError(
+            f"report of {nbytes:.4g} B ({shape[0]} planes x {n_mem} members x "
+            f"{shape[2]} samples) exceeds the configured hard limit {MAX_REPORT_BYTES} B"
+        )
+    mode_set = config.mode_set()
     chunks = [range(lo, min(lo + config.chunk_size, n_mem))
               for lo in range(0, n_mem, config.chunk_size)]
     n_workers = min(n_workers, len(chunks[0]))
-    n_steps = _n_steps(config.t_span, config.dt)
-    stride = config.decimate_stride
-    t = config.dt * stride * np.arange(n_steps // stride + 1)
-    shape = (3 if config.retain_drive else 2, n_mem, t.size)
+    t = config.dt * stride * np.arange(shape[2])
     diverged = []
     if n_workers > 1 and np.any(config.force._c2) and _can_fork():
         import multiprocessing

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import ConfigurationError, ConvergenceError, NumericsError
+from .errors import ConfigurationError, ConvergenceError, NumericsError, ResourceLimitError
 from .forces import ForceModel
 from .zpf import PhysicalScales
 
@@ -28,6 +28,17 @@ __all__ = [
     "trk_sum",
     "heisenberg_product",
 ]
+
+# hard limit on a basis (basis_size, or the oscillator's n_states): one
+# complex matrix of that order takes 256 MB
+MAX_BASIS_SIZE = 4000
+
+
+def _check_basis(name: str, size: int) -> None:
+    if size > MAX_BASIS_SIZE:
+        raise ResourceLimitError(
+            f"{name} = {size} exceeds the configured hard limit {MAX_BASIS_SIZE}"
+        )
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,7 @@ def oscillator_matrices(scales: PhysicalScales, n_states: int) -> TransitionMatr
     |x_{n,n+1}|^2 = hbar (n+1) / (2 m omega0), E_n = hbar omega0 (n + 1/2)."""
     if n_states < 2:
         raise ConfigurationError("n_states must be >= 2")
+    _check_basis("n_states", n_states)
     hbar, m, w0 = scales.hbar, scales.m, scales.omega0
     n = np.arange(n_states)
     energies = hbar * w0 * (n + 0.5)
@@ -162,6 +174,7 @@ def diagonalize_potential(
     """
     if basis_size < 8:
         raise ConfigurationError("basis_size must be >= 8")
+    _check_basis("basis_size", basis_size)
     if not force.is_confining():
         raise ConfigurationError("potential is not confining; diagonalization refused")
     energies, u, x, p = _solve_in_basis(scales, force, basis_size)

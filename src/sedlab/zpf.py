@@ -201,11 +201,14 @@ def build_mode_set(
     if oversample < 1:
         raise ConfigurationError("oversample must be >= 1")
     dw = 2 * np.pi / (oversample * total_time)
-    n = int(np.floor(omega_cut / dw + 1e-12))
-    if n > max_modes:
+    # counted on floats: dw underflows to 0 for a huge window, and a count
+    # of modes past the limit may not fit an int
+    n = np.floor(omega_cut / dw + 1e-12) if dw > 0 else np.inf
+    if not n <= max_modes:
         raise ResourceLimitError(
-            f"mode count {n} exceeds the configured hard limit {max_modes}"
+            f"mode count {n:.4g} exceeds the configured hard limit {max_modes}"
         )
+    n = int(n)
     omegas = dw * np.arange(1, n + 1)
     amplitudes = np.sqrt(2.0 * scales.force_psd_coeff * omegas**3 * dw)
     omegas.setflags(write=False)

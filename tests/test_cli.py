@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,19 @@ CORRELATE = {"n_realizations": 4, "seed": 3, "total_time": 50.0, "sample_dt": 0.
      "window"),
     ("balance", {"ensemble": small_ensemble_section(), "balance": {"window": 5}},
      "window"),
+    ("simulate", {"simulate": dict(SIMULATE, dt=float("nan"))}, "dt"),
+    ("simulate", {"scales": dict(SCALES, tau=float("nan"))}, "tau"),
+    ("ensemble", {"ensemble": small_ensemble_section(burn_in=float("nan"))}, "burn_in"),
+    ("ensemble", {"ensemble": small_ensemble_section(),
+                  "field": dict(FIELD, oversample=float("nan"))}, "oversample"),
+    ("ensemble", {"ensemble": small_ensemble_section(),
+                  "field": {"omega_cut": float("inf")}}, "omega_cut"),
+    ("simulate", {"simulate": dict(SIMULATE, x0=10**400)}, "x0"),
 ], ids=["harmonic-no-omega0", "quartic-no-lam", "polynomial-no-coeffs",
         "string-coeff", "harmonic-with-lam", "string-x0", "string-lag",
-        "nested-lag", "no-lags", "bool-window-end", "scalar-window"])
+        "nested-lag", "no-lags", "bool-window-end", "scalar-window",
+        "nan-dt", "nan-tau", "nan-burn-in", "nan-oversample", "infinite-omega-cut",
+        "401-digit-x0"])
 def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, command,
                                                    sections, field):
     body = {"scales": SCALES, "force": FORCE, "field": FIELD, "simulate": SIMULATE}
@@ -64,6 +75,42 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, command,
     rc = cli.main([command, str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["balance", "spectrum"])
+def test_malformed_window_is_refused_before_the_ensemble_runs(tmp_path, capsys,
+                                                             monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path / "c.json", scales=SCALES, force=FORCE, field=FIELD,
+                       ensemble=small_ensemble_section(), **{command: {"window": [1.0]}})
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "window" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("ensemble", {"field": dict(FIELD, oversample=1e308)}),
+    ("ensemble", {"ensemble": small_ensemble_section(n_traj=10**12)}),
+    ("ensemble", {"ensemble": small_ensemble_section(dt=1e-300)}),
+    ("simulate", {"simulate": dict(SIMULATE, t_span=1e12)}),
+    ("matrix", {"force": {"kind": "quartic", "omega0": 1.0, "lam": 0.1},
+                "matrix": {"potential": "force", "basis_size": 10**12}}),
+    ("matrix", {"matrix": {"potential": "oscillator", "n_states": 10**12}}),
+], ids=["oversample-1e308", "n-traj-1e12", "dt-1e-300", "simulate-t-span-1e12",
+        "basis-size-1e12", "n-states-1e12"])
+def test_values_that_cannot_run_exit_2_before_allocating(tmp_path, capsys, command,
+                                                         sections):
+    # every value here is refused by a hard limit before anything is allocated
+    body = {"scales": SCALES, "force": FORCE, "field": FIELD, "simulate": SIMULATE,
+            "ensemble": small_ensemble_section()}
+    body.update(sections)
+    cfg = write_config(tmp_path / "c.json", **body)
+    start = time.perf_counter()
+    rc = cli.main([command, str(cfg), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("resource limit:")
 
 
 @pytest.mark.parametrize("window", [[True, 5], 5, [1.0], [1.0, 2.0, 3.0], ["a", 5]],
