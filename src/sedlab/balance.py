@@ -90,8 +90,6 @@ def measure_balance(report: EnsembleReport, window: tuple[float, float] | None =
     For the order-reduced equation radiated + absorbed integrates to dH/dt
     exactly, so at stationarity the two cancel within error.
     """
-    if report.drive is None:
-        raise ConfigurationError("drive series were not retained; re-run with retain_drive")
     lo, hi = _require_window(report, window)
     sl = report.window_slice((lo, hi))
     cfg = report.config
@@ -194,13 +192,15 @@ def trace_dpx(
     subtract_free_particle=False the counter-term is omitted; that raw value
     grows like -tau hbar W^2/(2 pi) and is what the simulated stationary
     e<x E> correlator measures.  The integrand is a^2 w/(a^2 - w^2) with
-    a = |omega_kn|, whose principal value is -(a^2/2) ln((W^2 - a^2)/a^2), so
+    a = |omega_kn|, whose principal value is -(a^2/2) ln(|W^2 - a^2|/a^2), so
 
         D_px(n; W) = -(m tau / pi) sum_k |x_nk|^2 omega_kn^3
-                       ln((W^2 - omega_kn^2) / omega_kn^2),
+                       ln(|W^2 - omega_kn^2| / omega_kn^2),
 
-    Bethe's logarithm (H. A. Bethe, Phys. Rev. 72, 339 (1947)).  The result
-    is an explicit function of the cutoff and must be reported with it.
+    Bethe's logarithm (H. A. Bethe, Phys. Rev. 72, 339 (1947)).  A line
+    above the cutoff has no pole in [0, W] and the same term; a line at the
+    cutoff, or a cutoff below every line, is refused.  The result is an
+    explicit function of the cutoff and must be reported with it.
     """
     _check_trusted(tm, n, "trace_dpx")
     m, tau = scales.m, scales.tau
@@ -209,15 +209,15 @@ def trace_dpx(
     lines = (x2 > 1e-14) & (np.abs(omegas) > 1e-12)
     w_kn = omegas[lines]
     a = np.abs(w_kn)
-    if a.size and omega_cut <= a.max():
+    if a.size and (omega_cut <= a.min() or np.any(a == omega_cut)):
         raise ConfigurationError(
-            f"omega_cut = {omega_cut:g} must exceed every contributing |omega_kn| "
-            f"(max {a.max():g})"
+            f"omega_cut = {omega_cut:g} must exceed the lowest contributing "
+            f"|omega_kn| ({a.min():g}) and equal none of them"
         )
     if tau == 0.0:
         return 0.0
 
-    bethe_log = np.log((omega_cut - a) * (omega_cut + a) / a**2)
+    bethe_log = np.log(np.abs((omega_cut - a) * (omega_cut + a)) / a**2)
     value = float(-(m * tau / np.pi) * np.sum(x2[lines] * w_kn**3 * bethe_log))
     if not subtract_free_particle:
         # undo the counter-term using the matrix's own sum rule value

@@ -59,6 +59,7 @@ from .matrices import (
 )
 from .rng import derive_seed
 from .zpf import (
+    MAX_CORRELATION_PHASES,
     build_mode_set,
     empirical_correlation,
     sample_realization,
@@ -121,12 +122,11 @@ def cmd_ensemble(cfg: dict, out_dir: Path) -> None:
     except StatisticsError as exc:
         summary["stationary"] = None
         summary["stationary_refusal"] = str(exc)
-    if report.drive is not None:
-        diff = estimate_diffusion(report)
-        dpath = out_dir / "diffusion.csv"
-        write_csv(dpath, ["t", "dpx", "dpx_se", "dpp", "dpp_se"],
-                  [diff["t"], diff["dpx"], diff["dpx_se"], diff["dpp"], diff["dpp_se"]])
-        writer.add(dpath)
+    diff = estimate_diffusion(report)
+    dpath = out_dir / "diffusion.csv"
+    write_csv(dpath, ["t", "dpx", "dpx_se", "dpp", "dpp_se"],
+              [diff["t"], diff["dpx"], diff["dpx_se"], diff["dpp"], diff["dpp_se"]])
+    writer.add(dpath)
     rpath = out_dir / "ensemble_report.json"
     write_json(rpath, summary)
     writer.add(rpath)
@@ -191,13 +191,10 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
     dpx_pred = trace_dpx(tm, scales, state, econf.omega_cut)
     decay = predict_decay(tm, scales, min(state + 1, tm.n_trusted - 1))
     a_line = decay.transitions[0][2] if decay.transitions else 0.0
-    diff = None
-    if report.drive is not None:
-        mask = report.window_slice(window)
-        ok = np.all(np.isfinite(report.x), axis=1)
-        per_traj = (report.p[ok][:, mask] * report.drive[ok][:, mask]).mean(axis=1)
-        diff = (float(per_traj.mean()),
-                float(per_traj.std(ddof=1) / np.sqrt(per_traj.size)))
+    mask = report.window_slice(window)
+    ok = np.all(np.isfinite(report.x), axis=1)
+    per_traj = (report.p[ok][:, mask] * report.drive[ok][:, mask]).mean(axis=1)
+    dpp, dpp_se = float(per_traj.mean()), float(per_traj.std(ddof=1) / np.sqrt(per_traj.size))
 
     comparison = {
         "measured": meas.to_dict(),
@@ -214,17 +211,15 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
             "fwhm": spectrum.fwhm,
             "fwhm_halfmax": spectrum.fwhm_halfmax,
         },
-        "dpp_measured": None if diff is None else {"value": diff[0], "stderr": diff[1]},
+        "dpp_measured": {"value": dpp, "stderr": dpp_se},
     }
     writer = RunManifestWriter("balance", cfg, econf.master_seed, out_dir)
     rpath = out_dir / "balance.json"
     write_json(rpath, comparison)
     writer.add(rpath)
     rows_q = ["radiated", "absorbed", "net_drift", "dpp", "a_vs_fwhm"]
-    rows_m = [meas.radiated, meas.absorbed, meas.net_drift,
-              np.nan if diff is None else diff[0], spectrum.fwhm]
-    rows_s = [meas.radiated_se, meas.absorbed_se, meas.net_drift_se,
-              np.nan if diff is None else diff[1], np.nan]
+    rows_m = [meas.radiated, meas.absorbed, meas.net_drift, dpp, spectrum.fwhm]
+    rows_s = [meas.radiated_se, meas.absorbed_se, meas.net_drift_se, dpp_se, np.nan]
     rows_p = [-dpp_pred / scales.m, dpp_pred / scales.m, 0.0, dpp_pred, a_line]
     cpath = out_dir / "comparison.csv"
     write_csv(cpath, ["quantity", "measured", "stderr", "predicted"],
@@ -258,6 +253,12 @@ def cmd_correlate(cfg: dict, out_dir: Path) -> None:
     scales = build_scales(cfg)
     body = cfg["correlate"]
     mode_set = build_mode_set(scales, total_time=body["total_time"], **cfg["field"])
+    n_phases = body["n_realizations"] * mode_set.n_modes
+    if n_phases > MAX_CORRELATION_PHASES:
+        raise ResourceLimitError(
+            f"{n_phases:.4g} field phases (n_realizations x {mode_set.n_modes} modes) "
+            f"exceed the configured hard limit {MAX_CORRELATION_PHASES}"
+        )
     seed = body["seed"]
     realizations = [
         sample_realization(mode_set, derive_seed(seed, i))

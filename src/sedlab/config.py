@@ -42,9 +42,9 @@ def _is_numbers(val) -> bool:
 _NUMBER = (_is_number, "a finite number")
 _RULES = {
     **dict.fromkeys(("kind", "potential"), (lambda v: type(v) is str, "a string")),
-    **dict.fromkeys(("with_field", "retain_drive"), (lambda v: type(v) is bool, "a boolean")),
+    "with_field": (lambda v: type(v) is bool, "a boolean"),
     **dict.fromkeys(
-        ("n_traj", "master_seed", "chunk_size", "seed", "store_stride", "n_states",
+        ("n_traj", "master_seed", "seed", "store_stride", "n_states",
          "basis_size", "state", "n_realizations"),
         (lambda v: type(v) is int and _is_number(v), "an integer"),
     ),

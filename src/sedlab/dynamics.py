@@ -306,11 +306,12 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
     BLAS dtbsv, one member at a time.
     """
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
-    # probe is the zero state, whose image is c
+    # probe is the zero state, whose image is c.  A probe step that is not
+    # finite gives NaN entries, and the solve then fails at step 1
     images = []
     for x, p, *e in np.eye(6)[:5].T.tolist():
-        xs, ps, _ = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1)
-        images.append((xs[1], ps[1]))
+        xs, ps, fail = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1)
+        images.append((math.nan, math.nan) if fail else (xs[1], ps[1]))
     images = np.array(images).T
     c = images[:, 5]
     cols = images[:, :5] - c[:, None]  # [M | B]

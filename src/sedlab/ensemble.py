@@ -1,12 +1,12 @@
 """Reproducible parallel ensembles and the statistics of the transition.
 
 Trajectory i draws its field phases from seed splitmix64(master_seed XOR i)
-(pairs share a seed under common-noise pairing), and work is distributed
-over fixed chunks of trajectory indices.  Members are independent lanes, so
-a nonlinear force splits each chunk across forked worker processes; a
-linear force runs in this process, where its banded solve is faster than
-the cost of a pool.  Every reduction runs in index order after the workers
-finish -- reports are bit-identical for any worker count.
+(pairs share a seed under common-noise pairing).  Members are independent
+lanes, so a nonlinear force splits them once across forked worker
+processes; a linear force runs in this process, where its banded solve is
+faster than the cost of a pool.  Each process integrates its members in
+chunks whose drive fits DRIVE_BUDGET.  Every reduction runs in index order
+after the workers finish -- reports are bit-identical for any worker count.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -52,6 +52,9 @@ WORKERS_ENV = "SEDLAB_WORKERS"
 # hard limit on a report's x, p and drive planes, about 200 times the 86 MB
 # of the 200-member reference ensemble
 MAX_REPORT_BYTES = 16 * 2**30
+# drive held at once by one process: its members are integrated in chunks
+# of as many members as fit, at least one
+DRIVE_BUDGET = 24 * 2**20
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,12 @@ class EnsembleConfig:
     burn_in: float
     oversample: float = 1.0
     initial_conditions: object = field(default_factory=FixedIC)
-    retain_drive: bool = True
-    chunk_size: int = 64
 
     def __post_init__(self):
         if self.n_traj < 2:
             raise ConfigurationError("n_traj must be >= 2")
         if self.burn_in < 0 or self.burn_in >= self.t_span:
             raise ConfigurationError("burn_in must lie inside [0, t_span)")
-        if self.chunk_size < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
         _validate_step(self.scales, self.dt, self.omega_cut)
         _n_steps(self.t_span, self.dt)
 
@@ -140,8 +139,6 @@ class EnsembleConfig:
             "burn_in": self.burn_in,
             "oversample": self.oversample,
             "initial_conditions": ic_d,
-            "retain_drive": self.retain_drive,
-            "chunk_size": self.chunk_size,
         }
 
 
@@ -153,7 +150,7 @@ class EnsembleReport:
     t: np.ndarray
     x: np.ndarray  # (n_members, n_times)
     p: np.ndarray
-    drive: np.ndarray | None
+    drive: np.ndarray
     diverged: list
     moments: dict  # name -> (mean over ensemble, standard error), arrays over t
 
@@ -195,32 +192,37 @@ def _member_ic(config: EnsembleConfig, member: int) -> tuple[float, float]:
     raise ConfigurationError(f"unknown initial-condition spec {type(ic).__name__}")
 
 
-def _run_chunk(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
-               members: range) -> list:
+def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
+                 members: range) -> list:
     """Integrate the ensemble members in `members`, a range of indices.
 
-    Writes their decimated x, p and, when out has a third plane, drive into
-    the rows `members` of out[0], out[1] and out[2].  A member that escapes
-    or diverges gets NaN rows and is listed in the returned `diverged` as
+    Works in chunks of as many members as DRIVE_BUDGET holds the drive of,
+    at least one, and writes their decimated x, p and drive into the rows
+    `members` of out[0], out[1] and out[2].  A member that escapes or
+    diverges gets NaN rows and is listed in the returned `diverged` as
     (member, t_fail).
     """
     n_steps = _n_steps(config.t_span, config.dt)
-    drive = np.empty((len(members), 2 * n_steps + 1))
-    x0 = np.empty(len(members))
-    p0 = np.empty(len(members))
-    for row, member in enumerate(members):
-        realization = sample_realization(mode_set, _member_seed(config, member))
-        drive[row] = synthesize_drive(realization, 0.0, config.dt, n_steps)
-        x0[row], p0[row] = _member_ic(config, member)
-    *series, fails = rk4_core(
-        config.scales, config.force, drive, x0, p0, config.dt, n_steps,
-        config.decimate_stride, per_member=True,
-    )
-    del drive  # the largest array of a chunk: not resident while out fills
-    for plane, rows in zip(out, series):
-        plane[members.start : members.stop] = rows
-    return [(member, fail[0] * config.dt)
-            for member, fail in zip(members, fails) if fail is not None]
+    width = max(1, DRIVE_BUDGET // (8 * (2 * n_steps + 1)))
+    diverged = []
+    for lo in range(0, len(members), width):
+        chunk = members[lo : lo + width]
+        drive = np.empty((len(chunk), 2 * n_steps + 1))
+        x0, p0 = np.empty((2, len(chunk)))
+        for row, member in enumerate(chunk):
+            realization = sample_realization(mode_set, _member_seed(config, member))
+            drive[row] = synthesize_drive(realization, 0.0, config.dt, n_steps)
+            x0[row], p0[row] = _member_ic(config, member)
+        *series, fails = rk4_core(
+            config.scales, config.force, drive, x0, p0, config.dt, n_steps,
+            config.decimate_stride, per_member=True,
+        )
+        del drive  # the largest array of a chunk: not resident while out fills
+        for plane, rows in zip(out, series):
+            plane[chunk.start : chunk.stop] = rows
+        diverged += [(member, fail[0] * config.dt)
+                     for member, fail in zip(chunk, fails) if fail is not None]
+    return diverged
 
 
 def _worker_count(n_workers: int | None) -> int:
@@ -263,7 +265,7 @@ def _init_forked(*state):
 
 
 def _run_forked(members: range) -> list:
-    return _run_chunk(*_FORKED, members)
+    return _run_members(*_FORKED, members)
 
 
 def _split(members: range, n_parts: int) -> list[range]:
@@ -275,23 +277,23 @@ def _split(members: range, n_parts: int) -> list[range]:
 def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> EnsembleReport:
     """Run the configured ensemble; bit-identical for any worker count.
 
-    Chunks of trajectory indices are fixed by the config, and every member
-    writes its own rows, so the report depends only on (config,
-    master_seed).  A nonlinear force splits each chunk's members into
+    Every member writes its own rows, so the report depends only on
+    (config, master_seed).  A nonlinear force splits the members once into
     n_workers contiguous sub-ranges (n_workers defaults to SEDLAB_WORKERS,
-    else to every CPU this process may run on, and is capped by the chunk
-    size): this process integrates the first and n_workers - 1 forked
-    worker processes the others, writing into shared memory, one chunk at
-    a time, so all processes together hold one chunk's drive.  A linear
+    else to every CPU this process may run on, and is capped by the member
+    count): this process integrates the first and n_workers - 1 forked
+    worker processes the others, writing into shared memory.  A linear
     force, n_workers=1 or a platform without fork runs in this process
-    alone.  No worker outlives the call.  Diverged members are excluded and
-    counted; more than 1% divergence fails the run.
+    alone.  Each process holds at most DRIVE_BUDGET bytes of drive at a
+    time, or one member's drive if that is larger.  No worker outlives the
+    call.  Diverged members are excluded and counted; more than 1%
+    divergence fails the run.
     """
     n_workers = _worker_count(n_workers)
     n_mem = config.n_members
     n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
-    shape = (3 if config.retain_drive else 2, n_mem, n_steps // stride + 1)
+    shape = (3, n_mem, n_steps // stride + 1)
     nbytes = 8 * math.prod(shape)
     if nbytes > MAX_REPORT_BYTES:
         raise ResourceLimitError(
@@ -299,35 +301,28 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
             f"{shape[2]} samples) exceeds the configured hard limit {MAX_REPORT_BYTES} B"
         )
     mode_set = config.mode_set()
-    chunks = [range(lo, min(lo + config.chunk_size, n_mem))
-              for lo in range(0, n_mem, config.chunk_size)]
-    n_workers = min(n_workers, len(chunks[0]))
+    parts = _split(range(n_mem), min(n_workers, n_mem))
     t = config.dt * stride * np.arange(shape[2])
-    diverged = []
-    if n_workers > 1 and np.any(config.force._c2) and _can_fork():
+    if len(parts) > 1 and np.any(config.force._c2) and _can_fork():
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         out = _shared_empty(shape)
         # under fork the initargs are not pickled: the workers inherit
         # (config, mode_set, out), the shared output included
-        with ProcessPoolExecutor(n_workers - 1,
+        with ProcessPoolExecutor(len(parts) - 1,
                                  mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_forked,
                                  initargs=(config, mode_set, out)) as pool:
-            for chunk in chunks:
-                first, *rest = _split(chunk, min(n_workers, len(chunk)))
-                futures = [pool.submit(_run_forked, part) for part in rest]
-                diverged += _run_chunk(config, mode_set, out, first)
-                for future in futures:  # index order
-                    diverged += future.result()
+            futures = [pool.submit(_run_forked, part) for part in parts[1:]]
+            diverged = _run_members(config, mode_set, out, parts[0])
+            for future in futures:  # index order
+                diverged += future.result()
     else:
         out = np.empty(shape)
-        for chunk in chunks:
-            diverged += _run_chunk(config, mode_set, out, chunk)
+        diverged = _run_members(config, mode_set, out, range(n_mem))
 
-    x, p = out[0], out[1]
-    drive = out[2] if config.retain_drive else None
+    x, p, drive = out
     if len(diverged) > 0.01 * n_mem:
         raise IntegrationDivergedError(
             f"{len(diverged)} of {n_mem} members diverged (> 1%)"
@@ -455,10 +450,7 @@ def estimate_diffusion(report: EnsembleReport) -> dict:
     """Field-particle correlators D_px(t) = e<x E> and D_pp(t) = e<p E>.
 
     Pure ensemble averages at each stored time, with i.i.d. standard errors.
-    Requires the drive series to have been retained.
     """
-    if report.drive is None:
-        raise ConfigurationError("drive series were not retained; re-run with retain_drive")
     ok = _finite_members(report)
     x = report.x[ok]
     p = report.p[ok]

@@ -96,6 +96,9 @@ REF = PhysicalScales(hbar=1.0, m=1.0, omega0=1.0, tau=1e-2)
 # hard limit on the samples per realization in empirical_correlation: each
 # buffer of that many float64 samples takes 128 MB
 MAX_CORRELATION_SAMPLES = 16_000_000
+# hard limit on the phases of all realizations of a correlation run
+# (realizations x modes): that many float64 phases take 2 GB
+MAX_CORRELATION_PHASES = 250_000_000
 
 
 @dataclass(frozen=True)

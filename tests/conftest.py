@@ -53,7 +53,6 @@ def ref_ensemble_report(ref_scales, harmonic_force):
         t_span=REF_T_SPAN,
         dt=REF_DT,
         burn_in=REF_BURN_IN,
-        chunk_size=50,
     )
     return sl.run_ensemble(config)
 
@@ -72,7 +71,6 @@ def memory_report(ref_scales, harmonic_force):
         dt=REF_DT,
         burn_in=0.0,
         initial_conditions=sl.PairedIC(x0a=1.0, x0b=-1.0),
-        chunk_size=50,
     )
     return sl.run_ensemble(config)
 

@@ -231,8 +231,13 @@ def dpx_pv_quad(tm, scales, n: int, omega_cut: float, exclusion: float | None = 
                 v2, _ = quad(integrand, a + delta, omega_cut, limit=400)
             return v1 + v2
 
-        # symmetric-exclusion error is linear in the window width
-        pv = 2.0 * excluded(exclusion / 2) - excluded(exclusion)
+        if a > omega_cut:  # no pole in [0, W]: a plain integral
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                pv, _ = quad(integrand, 0.0, omega_cut, limit=400)
+        else:
+            # symmetric-exclusion error is linear in the window width
+            pv = 2.0 * excluded(exclusion / 2) - excluded(exclusion)
         total += x2[k] * w_kn * pv
     value = 2 * m * tau / np.pi * total
     if not subtract_free_particle:

@@ -303,7 +303,7 @@ class TestCriterion9PropertySuite:
         cfg = sl.EnsembleConfig(
             scales=sl.REF, force=sl.harmonic(1.0), omega_cut=20.0,
             n_traj=8, master_seed=MASTER_SEED + 4 * SEED_STRIDE, t_span=150.0, dt=0.016,
-            burn_in=10.0, chunk_size=3,
+            burn_in=10.0,
         )
         a = sl.run_ensemble(cfg, n_workers=1)
         b = sl.run_ensemble(cfg, n_workers=4)

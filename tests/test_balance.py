@@ -103,9 +103,21 @@ class TestTraceDpx:
             pv = sl.trace_dpx(oscillator_tm, sl.REF, 0, w_c)
             assert abs(brute - pv) < 0.01 * abs(pv)
 
+    def test_lines_above_the_cutoff(self):
+        # quartic(1, 0.5): the ground state's lines at 11.50 and 15.60 lie
+        # above the cutoff and have no pole in [0, W]
+        tm = sl.diagonalize_potential(sl.REF, sl.quartic(1.0, 0.5), 200)
+        for subtract in (True, False):
+            got = sl.trace_dpx(tm, sl.REF, 0, 10.0, subtract_free_particle=subtract)
+            ref = dpx_pv_quad(tm, sl.REF, 0, 10.0, subtract_free_particle=subtract)
+            assert got == pytest.approx(ref, rel=1e-9)
+        assert sl.trace_dpx(tm, sl.REF, 0, 10.0) == pytest.approx(-0.0103681, abs=1e-7)
+
     def test_cutoff_below_line_rejected(self, oscillator_tm):
-        with pytest.raises(sl.ConfigurationError):
-            sl.trace_dpx(oscillator_tm, sl.REF, 0, 0.5)
+        # below the only line, and exactly on it
+        for w_c in (0.5, 1.0):
+            with pytest.raises(sl.ConfigurationError):
+                sl.trace_dpx(oscillator_tm, sl.REF, 0, w_c)
 
     def test_cutoff_must_be_reported(self, oscillator_tm):
         # the trace is not cutoff-robust: doubling the cutoff moves the value
@@ -135,23 +147,12 @@ class TestMeasuredBalance:
         cfg = sl.EnsembleConfig(
             scales=sl.REF, force=sl.quartic(1.0, 0.1), omega_cut=20.0,
             n_traj=16, master_seed=7, t_span=1600.0, dt=0.016, burn_in=500.0,
-            chunk_size=16,
         )
         rep = sl.run_ensemble(cfg)
         bal = sl.measure_balance(rep)
         assert bal.radiated < 0.0
         assert bal.absorbed > 0.0
         assert bal.balanced_within(3.0)
-
-    def test_requires_drive(self):
-        cfg = sl.EnsembleConfig(
-            scales=sl.REF, force=sl.harmonic(1.0), omega_cut=20.0,
-            n_traj=2, master_seed=7, t_span=1250.0, dt=0.016, burn_in=200.0,
-            retain_drive=False,
-        )
-        rep = sl.run_ensemble(cfg)
-        with pytest.raises(sl.ConfigurationError):
-            sl.measure_balance(rep)
 
     def test_stationary_window_requires_settling(self):
         cfg = sl.EnsembleConfig(

@@ -29,7 +29,6 @@ def small_ensemble_section(**overrides):
         "t_span": 1600.0,
         "dt": 0.016,
         "burn_in": 500.0,
-        "chunk_size": 4,
     }
     body.update(overrides)
     return body
@@ -62,11 +61,13 @@ CORRELATE = {"n_realizations": 4, "seed": 3, "total_time": 50.0, "sample_dt": 0.
     ("ensemble", {"ensemble": small_ensemble_section(),
                   "field": {"omega_cut": float("inf")}}, "omega_cut"),
     ("simulate", {"simulate": dict(SIMULATE, x0=10**400)}, "x0"),
+    ("ensemble", {"ensemble": small_ensemble_section(chunk_size=4)}, "chunk_size"),
+    ("ensemble", {"ensemble": small_ensemble_section(retain_drive=True)}, "retain_drive"),
 ], ids=["harmonic-no-omega0", "quartic-no-lam", "polynomial-no-coeffs",
         "string-coeff", "harmonic-with-lam", "string-x0", "string-lag",
         "nested-lag", "no-lags", "bool-window-end", "scalar-window",
         "nan-dt", "nan-tau", "nan-burn-in", "nan-oversample", "infinite-omega-cut",
-        "401-digit-x0"])
+        "401-digit-x0", "unknown-chunk-size", "unknown-retain-drive"])
 def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, command,
                                                    sections, field):
     body = {"scales": SCALES, "force": FORCE, "field": FIELD, "simulate": SIMULATE}
@@ -97,8 +98,9 @@ def test_malformed_window_is_refused_before_the_ensemble_runs(tmp_path, capsys,
     ("matrix", {"force": {"kind": "quartic", "omega0": 1.0, "lam": 0.1},
                 "matrix": {"potential": "force", "basis_size": 10**12}}),
     ("matrix", {"matrix": {"potential": "oscillator", "n_states": 10**12}}),
+    ("correlate", {"correlate": dict(CORRELATE, lags=[0.0], n_realizations=10**12)}),
 ], ids=["oversample-1e308", "n-traj-1e12", "dt-1e-300", "simulate-t-span-1e12",
-        "basis-size-1e12", "n-states-1e12"])
+        "basis-size-1e12", "n-states-1e12", "n-realizations-1e12"])
 def test_values_that_cannot_run_exit_2_before_allocating(tmp_path, capsys, command,
                                                          sections):
     # every value here is refused by a hard limit before anything is allocated
@@ -187,6 +189,17 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    def test_tiny_mass_exit_3(self, tmp_path, capsys):
+        # the linear force's step map is not finite: a divergence at the
+        # first step, not an internal error
+        cfg = write_config(
+            tmp_path / "c.json", scales=dict(SCALES, m=1e-300), force=FORCE,
+            simulate=SIMULATE,
+        )
+        rc = cli.main(["simulate", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("integration failed:")
+
     def test_store_stride_zero_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -265,7 +278,7 @@ class TestSpectrumAndBalance:
         cfg = write_config(
             tmp_path / "c.json",
             scales=SCALES, force=FORCE, field=FIELD,
-            ensemble=small_ensemble_section(n_traj=6, chunk_size=6),
+            ensemble=small_ensemble_section(n_traj=6),
         )
         out = tmp_path / "out"
         assert cli.main(["spectrum", str(cfg), "--out", str(out)]) == 0
@@ -286,7 +299,7 @@ class TestSpectrumAndBalance:
         cfg = write_config(
             tmp_path / "c.json",
             scales=SCALES, force=FORCE, field=FIELD,
-            ensemble=small_ensemble_section(n_traj=8, chunk_size=8),
+            ensemble=small_ensemble_section(n_traj=8),
         )
         out = tmp_path / "out"
         assert cli.main(["balance", str(cfg), "--out", str(out)]) == 0

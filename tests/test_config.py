@@ -21,7 +21,7 @@ FULL = {
     "simulate": {"x0": 0.0, "p0": 0.0, "t_span": 10.0, "dt": 0.016, "seed": 5,
                  "with_field": True, "store_stride": 2},
     "ensemble": {"n_traj": 4, "master_seed": 9, "t_span": 1600.0, "dt": 0.016,
-                 "burn_in": 500.0, "retain_drive": True, "chunk_size": 4,
+                 "burn_in": 500.0,
                  "initial_conditions": {"kind": "gaussian", "x0_mean": 0.0, "x0_sd": 1.0,
                                         "p0_mean": 0.0, "p0_sd": 1.0}},
     "matrix": {"potential": "force", "n_states": 8, "basis_size": 120},

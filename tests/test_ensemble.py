@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 import sedlab as sl
+from sedlab import ensemble
 from sedlab.rng import derive_seed, splitmix64
 
 from oracles import dpx_raw_quad, stationary_oracle, switch_on_energy
@@ -18,7 +19,6 @@ def small_config(**overrides):
         t_span=200.0,
         dt=0.016,
         burn_in=20.0,
-        chunk_size=4,
     )
     base.update(overrides)
     return sl.EnsembleConfig(**base)
@@ -55,7 +55,7 @@ class TestRunEnsemble:
         assert np.array_equal(a.drive, b.drive)
 
     def test_bit_identical_across_worker_counts(self):
-        cfg = small_config(n_traj=10, chunk_size=3)
+        cfg = small_config(n_traj=10)
         a = sl.run_ensemble(cfg, n_workers=1)
         b = sl.run_ensemble(cfg, n_workers=4)
         assert np.array_equal(a.x, b.x)
@@ -65,12 +65,22 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
                              ids=["harmonic", "quartic"])
-    def test_chunking_invariance(self, force):
-        # chunk size is a config field, but lanes are independent:
-        # per-trajectory series do not depend on the chunking
-        a = sl.run_ensemble(small_config(force=force, chunk_size=2))
-        b = sl.run_ensemble(small_config(force=force, chunk_size=6))
-        assert np.array_equal(a.x, b.x)
+    def test_chunking_invariance(self, monkeypatch, force):
+        # lanes are independent: the report depends neither on how many
+        # members' drive the budget holds nor on the worker count
+        cfg = small_config(force=force)
+        member_bytes = 8 * (2 * ensemble._n_steps(cfg.t_span, cfg.dt) + 1)
+        ref = sl.run_ensemble(cfg, n_workers=1)
+        for members in (1, 3, cfg.n_members):
+            monkeypatch.setattr(ensemble, "DRIVE_BUDGET", members * member_bytes)
+            for n_workers in (1, 2, 4):
+                rep = sl.run_ensemble(cfg, n_workers=n_workers)
+                for series in ("x", "p", "drive"):
+                    assert np.array_equal(getattr(rep, series), getattr(ref, series))
+                assert rep.diverged == ref.diverged == []
+                for name in ref.moments:
+                    for ours, theirs in zip(rep.moments[name], ref.moments[name]):
+                        assert np.array_equal(ours, theirs)
 
     def test_worker_count_env_override(self, monkeypatch):
         from sedlab.ensemble import WORKERS_ENV
@@ -276,12 +286,6 @@ class TestDiffusionEstimates:
         se = diff.std(ddof=1) / np.sqrt(diff.size)
         assert abs(diff.mean()) < 3.0 * se
 
-    def test_requires_drive(self):
-        cfg = small_config(retain_drive=False)
-        rep = sl.run_ensemble(cfg)
-        with pytest.raises(sl.ConfigurationError):
-            sl.estimate_diffusion(rep)
-
 
 class TestPowerSpectrum:
     def test_peak_fwhm_and_parseval(self, ref_ensemble_report):
@@ -328,7 +332,7 @@ class TestErrorBarCalibration:
             cfg = sl.EnsembleConfig(
                 scales=scales, force=sl.harmonic(1.0), omega_cut=10.0,
                 n_traj=24, master_seed=1000 + 1_000_003 * seed, t_span=699.99, dt=0.03,
-                burn_in=200.0, chunk_size=24,
+                burn_in=200.0,
             )
             rep = sl.run_ensemble(cfg)
             val, se = sl.stationary_moments(rep)["x2"]

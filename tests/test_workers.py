@@ -1,7 +1,8 @@
 """The nonlinear-force ensemble across forked worker processes.
 
-A nonlinear force splits each chunk's members across worker processes; the
-report must not depend on how many there are, a failed member must come
+A nonlinear force splits its members once across worker processes, each of
+which integrates its share in chunks that fit the drive budget; the report
+must depend neither on the worker count nor on the budget, a failed member must come
 back as a NaN row plus its `diverged` entry, and an error raised in a
 worker must reach the caller unchanged.  The conftest fixture checks that
 no worker outlives a test.
@@ -28,19 +29,26 @@ def _same(a, b):
             assert np.array_equal(ours, theirs)
 
 
-def _quartic_config(chunk_size):
+def _quartic_config():
     return sl.EnsembleConfig(
         scales=sl.PhysicalScales(tau=2e-2), force=sl.quartic(1.0, 0.1), omega_cut=20.0,
         n_traj=7, master_seed=8_675_309, t_span=60.0, dt=0.016, burn_in=10.0,
-        initial_conditions=sl.GaussianIC(x0_sd=0.5, p0_sd=0.5), chunk_size=chunk_size,
+        initial_conditions=sl.GaussianIC(x0_sd=0.5, p0_sd=0.5),
     )
 
 
-@pytest.mark.parametrize("chunk_size", [5, 7], ids=["chunks-5-2", "chunk-7"])
-def test_quartic_bit_identical_for_any_worker_count(monkeypatch, chunk_size):
-    # 5 members split over 2 or 4 workers, 2 over 4 (two idle), 7 over 2 or 4
-    cfg = _quartic_config(chunk_size)
+# drive budget in members: a budget below one member's drive runs every
+# member alone
+@pytest.mark.parametrize("members", [0, 3, 5, 7],
+                         ids=["chunks-1", "chunks-3-3-1", "chunks-5-2", "chunk-7"])
+def test_quartic_bit_identical_for_any_worker_count(monkeypatch, members):
+    # 7 members split over 2 workers (4 + 3) or 4 (2 + 2 + 2 + 1), each
+    # share in chunks of the budget's width
+    cfg = _quartic_config()
     ref = sl.run_ensemble(cfg, n_workers=1)
+    member_bytes = 8 * (2 * ensemble._n_steps(cfg.t_span, cfg.dt) + 1)
+    monkeypatch.setattr(ensemble, "DRIVE_BUDGET", max(1, members * member_bytes))
+    _same(ref, sl.run_ensemble(cfg, n_workers=1))
     for n_workers in (2, 4):
         _same(ref, sl.run_ensemble(cfg, n_workers=n_workers))
     monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -66,7 +74,7 @@ def _escape_config():
     return sl.EnsembleConfig(
         scales=sl.REF, force=sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0),
         omega_cut=5.0, n_traj=100, master_seed=ESCAPE_SEED, t_span=20.0, dt=0.05,
-        burn_in=0.0, initial_conditions=sl.GaussianIC(x0_sd=0.5), chunk_size=33,
+        burn_in=0.0, initial_conditions=sl.GaussianIC(x0_sd=0.5),
     )
 
 
@@ -85,7 +93,7 @@ def test_escaped_member_is_a_nan_row_for_any_worker_count():
 
 def test_escaped_member_alone_matches_its_row_and_time():
     # each member integrated on its own, as a single trajectory: the escape
-    # time of member 34 and the rows of its neighbours in the same chunk
+    # time of member 34 and the rows of its neighbours in the same share
     cfg = _escape_config()
     report = sl.run_ensemble(cfg, n_workers=2)
     stride = cfg.decimate_stride
@@ -117,7 +125,7 @@ def test_error_in_a_worker_reaches_the_caller(monkeypatch):
     # patched before the pool forks, so the workers inherit it
     monkeypatch.setattr(ensemble, "rk4_core", escaping_in_workers)
     with pytest.raises(sl.EscapeError) as exc:
-        sl.run_ensemble(_quartic_config(7), n_workers=2)
+        sl.run_ensemble(_quartic_config(), n_workers=2)
     assert (exc.value.t_fail, exc.value.x) == (3.5, 9.25)
     assert str(exc.value).startswith("escape in process")
 
@@ -129,13 +137,13 @@ def test_linear_force_never_starts_a_pool(monkeypatch):
         raise AssertionError("a linear force must run in-process")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    sl.run_ensemble(replace(_quartic_config(7), force=sl.harmonic(1.0)), n_workers=4)
+    sl.run_ensemble(replace(_quartic_config(), force=sl.harmonic(1.0)), n_workers=4)
 
 
 def test_without_fork_the_run_stays_in_process(monkeypatch):
     import multiprocessing
 
-    cfg = _quartic_config(5)
+    cfg = _quartic_config()
     ref = sl.run_ensemble(cfg, n_workers=1)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert not ensemble._can_fork()
