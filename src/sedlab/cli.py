@@ -191,10 +191,7 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
     dpx_pred = trace_dpx(tm, scales, state, econf.omega_cut)
     decay = predict_decay(tm, scales, min(state + 1, tm.n_trusted - 1))
     a_line = decay.transitions[0][2] if decay.transitions else 0.0
-    mask = report.window_slice(window)
-    ok = np.all(np.isfinite(report.x), axis=1)
-    per_traj = (report.p[ok][:, mask] * report.drive[ok][:, mask]).mean(axis=1)
-    dpp, dpp_se = float(per_traj.mean()), float(per_traj.std(ddof=1) / np.sqrt(per_traj.size))
+    dpp, dpp_se = scales.m * meas.absorbed, scales.m * meas.absorbed_se  # <p eE>
 
     comparison = {
         "measured": meas.to_dict(),
@@ -260,10 +257,10 @@ def cmd_correlate(cfg: dict, out_dir: Path) -> None:
             f"exceed the configured hard limit {MAX_CORRELATION_PHASES}"
         )
     seed = body["seed"]
-    realizations = [
+    realizations = (
         sample_realization(mode_set, derive_seed(seed, i))
         for i in range(body["n_realizations"])
-    ]
+    )
     lags, est, se = empirical_correlation(
         realizations, np.asarray(body["lags"], dtype=float),
         sample_dt=body.get("sample_dt"),

@@ -40,7 +40,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .forces import ForceModel
-from .zpf import PhysicalScales, ZpfRealization, eval_field_grid
+from .zpf import PhysicalScales, ZpfRealization, _grid_synthesizer, eval_field_grid
 
 __all__ = [
     "Trajectory",
@@ -96,11 +96,16 @@ def _validate_step(scales: PhysicalScales, dt: float, omega_cut: float | None):
 def synthesize_drive(
     realization: ZpfRealization | None, t0: float, dt: float, n_steps: int
 ) -> np.ndarray:
-    """Drive samples on the half-step grid t0 + k*dt/2, k = 0..2*n_steps."""
+    """Drive samples on the half-step grid t0 + k*dt/2, k = 0..2*n_steps.
+
+    dt/2 must lie on the realization's comb (see eval_field_grid): for a
+    comb built for these n_steps steps, 2*oversample*n_steps must be whole.
+    """
     if realization is None:
         return np.zeros(2 * n_steps + 1)
-    grid = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
-    return eval_field_grid(realization, grid)
+    synth = _grid_synthesizer(realization.mode_set, t0, 0.5 * dt, 2 * n_steps + 1,
+                              "drive step dt/2")
+    return synth(realization)
 
 
 def _n_steps(t_span: float, dt: float) -> int:
@@ -511,7 +516,8 @@ def first_order_response(
     The convolution lower limit is the first grid point (finite-past
     truncation); start from a quiescent state and discard a burn-in before
     using the output for stationary statistics.  Computed by the trapezoid
-    rule on the field grid via FFT convolution.
+    rule on the field grid via FFT convolution.  The grid step must lie on
+    the realization's comb (see eval_field_grid).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size < 2:

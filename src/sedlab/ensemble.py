@@ -33,7 +33,7 @@ from .errors import (
 )
 from .forces import ForceModel
 from .rng import derive_seed, gaussian_pair
-from .zpf import ModeSet, PhysicalScales, build_mode_set, sample_realization
+from .zpf import ModeSet, PhysicalScales, _comb_period, build_mode_set, sample_realization
 
 __all__ = [
     "FixedIC",
@@ -287,7 +287,9 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
     alone.  Each process holds at most DRIVE_BUDGET bytes of drive at a
     time, or one member's drive if that is larger.  No worker outlives the
     call.  Diverged members are excluded and counted; more than 1%
-    divergence fails the run.
+    divergence fails the run.  A drive step dt/2 off the field's comb, or
+    a comb period past MAX_COMB_PERIOD, is refused before the report is
+    allocated.
     """
     n_workers = _worker_count(n_workers)
     n_mem = config.n_members
@@ -301,6 +303,8 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
             f"{shape[2]} samples) exceeds the configured hard limit {MAX_REPORT_BYTES} B"
         )
     mode_set = config.mode_set()
+    # every member's drive grid meets this check: refuse it before anything runs
+    _comb_period(mode_set, 0.5 * config.dt, "drive step dt/2")
     parts = _split(range(n_mem), min(n_workers, n_mem))
     t = config.dt * stride * np.arange(shape[2])
     if len(parts) > 1 and np.any(config.force._c2) and _can_fork():

@@ -17,14 +17,20 @@ force correlation
     e^2 phi(u) = (m tau hbar / pi) * int_0^omega_cut w^3 cos(w u) dw.
 
 The comb spacing is tied to the simulated window, dw = 2 pi/(oversample*T),
-so a realization has no recurrence inside the window.  All charge/light-speed
-constants are folded into tau; only (hbar, m, omega0, tau, omega_cut) appear.
+so a realization has no recurrence inside the window.  A realization is
+synthesized only on a uniform grid whose step h lies on the comb,
+dw*h = 2 pi/K for a whole number K: there the sum is periodic with period K
+samples, one inverse real FFT of length K.  A grid off the comb is refused.
+All charge/light-speed constants are folded into tau; only
+(hbar, m, omega0, tau, omega_cut) appear.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,9 +102,16 @@ REF = PhysicalScales(hbar=1.0, m=1.0, omega0=1.0, tau=1e-2)
 # hard limit on the samples per realization in empirical_correlation: each
 # buffer of that many float64 samples takes 128 MB
 MAX_CORRELATION_SAMPLES = 16_000_000
-# hard limit on the phases of all realizations of a correlation run
-# (realizations x modes): that many float64 phases take 2 GB
+# hard limit on the phases drawn over a correlation run (realizations x
+# modes).  One realization is resident at a time, so it bounds the run's
+# work, not its memory: every phase is drawn and synthesized once
 MAX_CORRELATION_PHASES = 250_000_000
+# hard limit on the comb period K of a synthesized grid: its spectrum and
+# period take 16*K bytes, 6.4 GB here, the drive grid of MAX_STEPS steps at
+# oversample 2
+MAX_COMB_PERIOD = 400_000_000
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -236,75 +249,44 @@ def sample_realization(mode_set: ModeSet, seed: int) -> ZpfRealization:
 # ---------------------------------------------------------------------------
 # synthesis
 #
-# Two fast paths evaluate the cosine sum on a uniform grid t0 + j*h.
-#
-# Comb path: when dw*h = 2 pi/K for a whole number K, the sum is periodic in
-# j with period K and its samples are one inverse real FFT of length K, an
-# O(K log K) cost.  Every grid sedlab builds itself sits there: the half-step
-# drive grid has K = 2*oversample*n_steps, and the default correlation grid
-# is snapped to the comb.
-#
-# Bluestein path: any other uniform grid (caller-chosen sample steps, modes
-# built for another window) goes through a chirp-z transform, so a grid of M
-# samples costs O((N+M) log(N+M)) instead of O(N*M).  The chirp phases
-# theta*k^2/2 reach ~1e6 rad at production sizes; computed naively in double
-# precision they would inject ~1e-8 relative error into the synthesis, so the
-# phase reduction mod 2 pi is carried out in double-double arithmetic.
+# On the grid t0 + j*h with dw*h = 2 pi/K the cosine sum is periodic in j
+# with period K, an O(K log K) inverse real FFT.  Every grid sedlab builds
+# itself lies on the comb: the half-step drive grid has
+# K = 2*oversample*n_steps, and the default correlation grid is snapped to it.
 # ---------------------------------------------------------------------------
 
-_TWO_PI_HI = 6.283185307179586
-_TWO_PI_LO = 2.4492935982947064e-16
-_SPLITTER = 134217729.0  # 2^27 + 1
 
+def _comb_period(ms: ModeSet, h: float, name: str = "grid step",
+                 rtol: float = 4 * _EPS) -> int:
+    """The comb period K of a grid step h, dw*h = 2 pi/K; 0 for no modes.
 
-def _two_prod(a, b):
-    p = a * b
-    ahi = _SPLITTER * a - (_SPLITTER * a - a)
-    alo = a - ahi
-    bhi = _SPLITTER * b - (_SPLITTER * b - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _chirp_phase(theta: float, k: np.ndarray) -> np.ndarray:
-    """theta * k^2 / 2 reduced mod 2 pi, double-double accurate."""
-    k = np.asarray(k, dtype=np.float64)
-    k2 = k * k  # exact: |k| < 2^26.5 in all supported sizes
-    hi, lo = _two_prod(theta / 2.0, k2)
-    q = np.floor(hi / _TWO_PI_HI)
-    p1, e1 = _two_prod(q, _TWO_PI_HI)
-    s = hi - p1
-    return s + (lo - e1 - q * _TWO_PI_LO)
-
-
-def _synth_bluestein(
-    amplitudes: np.ndarray,
-    omegas_over_dw: np.ndarray,
-    phases: np.ndarray,
-    dw: float,
-    t0: float,
-    h: float,
-    m_samples: int,
-) -> np.ndarray:
-    """sum_alpha A cos(alpha*dw*(t0 + j*h) + phi) for j = 0..m_samples-1."""
-    n = amplitudes.size
-    if n == 0:
-        return np.zeros(m_samples)
-    alpha = omegas_over_dw  # integers 1..N as floats
-    z = amplitudes * np.exp(1j * (alpha * (dw * t0) + phases))
-    theta = dw * h
-    cn = np.exp(1j * _chirp_phase(theta, alpha))
-    cj = np.exp(1j * _chirp_phase(theta, np.arange(m_samples)))
-    kk = np.arange(-n, m_samples)
-    dk = np.exp(-1j * _chirp_phase(theta, kk))
-    a = np.zeros(n + 1, dtype=complex)
-    a[1:] = z * cn  # index alpha directly; a[0] unused
-    L = 1
-    while L < m_samples + n:
-        L <<= 1
-    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(dk, L))[n : n + m_samples]
-    return (cj * conv).real
+    Checks, before anything is allocated, that h resolves the cutoff
+    (Nyquist: h*omega_cut <= pi), that K is within MAX_COMB_PERIOD
+    (ResourceLimitError) and that h lies on the comb: K whole to `rtol`
+    relative (ConfigurationError naming `name` and the nearest comb step).
+    """
+    if h * ms.omega_cut > np.pi * (1 + 1e-12):
+        raise ConfigurationError(
+            f"{name} {h:g} violates the Nyquist bound pi/omega_cut = "
+            f"{np.pi / ms.omega_cut:g}"
+        )
+    if ms.n_modes == 0:
+        return 0
+    k = 2 * np.pi / (ms.delta_omega * h)
+    # checked on floats: a period past the limit may not fit an int
+    if not k <= MAX_COMB_PERIOD:
+        raise ResourceLimitError(
+            f"{name} {h:g} gives a comb period of {k:.4g} samples, over the "
+            f"configured hard limit {MAX_COMB_PERIOD}"
+        )
+    K = round(k)
+    if abs(k - K) > rtol * k:
+        raise ConfigurationError(
+            f"{name} {float(h)!r} lies off the field's frequency comb (2 pi/(dw*h) = "
+            f"{float(k)!r} is not whole); the nearest comb step is "
+            f"{2 * np.pi / (ms.delta_omega * K)!r}"
+        )
+    return K
 
 
 def _comb_synthesizer(
@@ -339,58 +321,49 @@ def _comb_synthesizer(
     return synth
 
 
-def _grid_synthesizer(ms: ModeSet, t_grid: np.ndarray):
-    """Check a time grid once and choose its synthesis path.
+def _grid_synthesizer(ms: ModeSet, t0: float, h: float, m_samples: int,
+                      name: str = "grid step", rtol: float = 4 * _EPS):
+    """Check the grid t0 + j*h, j < m_samples, once (see _comb_period).
 
-    Returns synth(realization) -> eE on t_grid, for realizations of `ms`;
-    see eval_field_grid for the checks and the paths.  On the comb path the
-    samples of one call are overwritten by the next.
+    Returns synth(realization) -> eE on that grid, for realizations of
+    `ms`; the samples of one call are overwritten by the next.
     """
-    if t_grid.size == 0:
-        return lambda r: np.zeros(0)
-    if t_grid.size == 1:
-        return lambda r: eval_field_direct(r, t_grid)
-    steps = np.diff(t_grid)
-    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ConfigurationError("t_grid must be uniform and increasing")
-    # the mean step, unlike steps[0], carries no rounding of a large t0
-    h = (t_grid[-1] - t_grid[0]) / (t_grid.size - 1)
-    if h * ms.omega_cut > np.pi * (1 + 1e-12):
-        raise ConfigurationError(
-            f"grid step {h:g} violates the Nyquist bound pi/omega_cut = "
-            f"{np.pi / ms.omega_cut:g}"
-        )
-    if ms.n_modes == 0:
-        return lambda r: np.zeros(t_grid.size)
-    alpha = np.round(ms.omegas / ms.delta_omega)
-    k = 2 * np.pi / (ms.delta_omega * h)
-    K = int(round(k))
-    # a fine step on a long comb would make the period K far longer than the
-    # grid; past K = 8*(M+N) Bluestein is faster and allocates less
-    if abs(k - K) <= 4 * np.finfo(float).eps * k and K <= 8 * (t_grid.size + ms.n_modes):
-        synth = _comb_synthesizer(ms.amplitudes, alpha.astype(np.intp), ms.delta_omega,
-                                  t_grid[0], K, t_grid.size)
-        return lambda r: synth(r.phases)
-    return lambda r: _synth_bluestein(
-        ms.amplitudes, alpha, r.phases, ms.delta_omega, t_grid[0], h, t_grid.size
-    )
+    K = _comb_period(ms, h, name, rtol)
+    if K == 0:
+        return lambda r: np.zeros(m_samples)
+    alpha = np.round(ms.omegas / ms.delta_omega).astype(np.intp)
+    synth = _comb_synthesizer(ms.amplitudes, alpha, ms.delta_omega, t0, K, m_samples)
+    return lambda r: synth(r.phases)
 
 
 def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarray:
-    """Force samples eE(t_j) on a uniform time grid.
+    """Force samples eE(t_j) on a uniform time grid on the comb.
 
-    The grid step must resolve the cutoff (Nyquist: h*omega_cut <= pi).  When
-    the step lies on the comb, dw*h = 2 pi/K for a whole number K to 4 eps
-    relative, and K <= 8*(M+N) for M samples and N modes, the samples are
-    one inverse real FFT of length K, repeated with period K; every grid
-    sedlab builds itself takes this path.  Any other uniform grid takes a
-    Bluestein chirp-z transform.  Measured against `eval_field_direct` at
-    omega_cut = 20, both paths agree to 1e-12 relative for t <= 400 and to
-    3.4e-12 for t <= 2000, the size of the direct sum's own rounding,
-    omega*t*eps.
+    The grid step must resolve the cutoff (Nyquist: h*omega_cut <= pi) and
+    lie on the comb, dw*h = 2 pi/K for a whole number K to 4 eps relative
+    plus the rounding of the grid's end points; a step off the comb raises
+    ConfigurationError naming the nearest comb step, and K above
+    MAX_COMB_PERIOD raises ResourceLimitError.  The
+    samples are one inverse real FFT of length K, repeated with period K.
+    Measured against `eval_field_direct` at omega_cut = 20, they agree to
+    1e-12 relative for t <= 400 and to 3.4e-12 for t <= 2000, the size of
+    the direct sum's own rounding, omega*t*eps.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    return _grid_synthesizer(realization.mode_set, t_grid)(realization)
+    if t_grid.size == 0:
+        return np.zeros(0)
+    if t_grid.size == 1:
+        return eval_field_direct(realization, t_grid)
+    steps = np.diff(t_grid)
+    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ConfigurationError("t_grid must be uniform and increasing")
+    # the mean step, unlike steps[0], carries no rounding of a large t0, but
+    # the end points' rounding, eps*|t|/span relative: a grid built from a
+    # comb step stays on the comb, and the samples are as exact as its times
+    t0, t1 = t_grid[0], t_grid[-1]
+    h = (t1 - t0) / (t_grid.size - 1)
+    rtol = _EPS * (4 + max(abs(t0), abs(t1)) / (t1 - t0))
+    return _grid_synthesizer(realization.mode_set, t0, h, t_grid.size, rtol=rtol)(realization)
 
 
 def eval_field_direct(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarray:
@@ -440,7 +413,7 @@ def theoretical_force_correlation(
 
 
 def empirical_correlation(
-    realizations: list[ZpfRealization],
+    realizations: Iterable[ZpfRealization],
     lags: np.ndarray,
     sample_dt: float | None = None,
     window: tuple[float, float] | None = None,
@@ -448,23 +421,24 @@ def empirical_correlation(
     """Ensemble-and-time averaged <eE(t) eE(t+lag)> with jackknife errors.
 
     Each realization is synthesized on a uniform grid of step `sample_dt`
-    (default: the largest step 2 pi/(K*dw), K whole, that is at most an
-    eighth of the cutoff period, so the grid lies on the comb) over `window`
-    (default: the simulated span, recurrence_time/oversample).  Averaging
-    over the full recurrence period would make the estimate
-    phase-independent and its error bar degenerate, so explicit windows near
-    the full period are for diagnostics only.  Lags are snapped to the sample grid; the snapped lags
-    actually used are returned.
+    over `window` (default: the simulated span, recurrence_time/oversample).
+    The step must lie on the comb (see eval_field_grid); by default it is
+    the largest comb step 2 pi/(K*dw), K whole, that is at most an eighth
+    of the cutoff period.  Averaging over the full recurrence period would
+    make the estimate phase-independent and its error bar degenerate, so
+    explicit windows near the full period are for diagnostics only.  Lags
+    are snapped to the sample grid; the snapped lags actually used are
+    returned.  `realizations` may be any iterable; a generator is consumed
+    once, so its realizations need not all be resident together.
 
     Returns (lags_used, estimates, stderr).  Refuses with StatisticsError for
     fewer than two realizations (no error bar is computable).
     """
-    if len(realizations) < 2:
+    realizations = iter(realizations)
+    head = list(itertools.islice(realizations, 2))
+    if len(head) < 2:
         raise StatisticsError("empirical_correlation needs >= 2 realizations for an error bar")
-    ms = realizations[0].mode_set
-    for r in realizations:
-        if r.mode_set is not ms and r.mode_set.to_dict() != ms.to_dict():
-            raise ConfigurationError("all realizations must share one ModeSet")
+    ms = head[0].mode_set
     if sample_dt is None:
         # at most an eighth of the cutoff period, on the comb's own grid
         sample_dt = 2 * np.pi / (ms.delta_omega * np.ceil(8 * ms.omega_cut / ms.delta_omega))
@@ -493,13 +467,15 @@ def empirical_correlation(
     max_stride = int(strides.max())
     lags_used = strides * sample_dt
 
-    per_real = np.empty((len(realizations), lags.size))
-    synth = _grid_synthesizer(ms, t_lo + sample_dt * np.arange(n_samp))
-    for i, r in enumerate(realizations):
+    synth = _grid_synthesizer(ms, t_lo, sample_dt, n_samp, "sample_dt")
+    rows = []
+    for r in itertools.chain(head, realizations):
+        if r.mode_set is not ms and r.mode_set.to_dict() != ms.to_dict():
+            raise ConfigurationError("all realizations must share one ModeSet")
         e = synth(r)
         base = e[: n_samp - max_stride]
-        for j, s in enumerate(strides):
-            per_real[i, j] = np.mean(base * e[s : s + base.size])
+        rows.append([np.mean(base * e[s : s + base.size]) for s in strides])
+    per_real = np.array(rows)
     est = per_real.mean(axis=0)
     # delete-one jackknife over realizations
     n = per_real.shape[0]

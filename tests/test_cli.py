@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sedlab import cli
+from sedlab import cli, ensemble
 from sedlab.config import window_from
 from sedlab.errors import ConfigurationError
 
@@ -99,8 +99,11 @@ def test_malformed_window_is_refused_before_the_ensemble_runs(tmp_path, capsys,
                 "matrix": {"potential": "force", "basis_size": 10**12}}),
     ("matrix", {"matrix": {"potential": "oscillator", "n_states": 10**12}}),
     ("correlate", {"correlate": dict(CORRELATE, lags=[0.0], n_realizations=10**12)}),
+    # 1,273 modes, but the drive grid's comb period is 2*40*10^7 = 8e8 samples
+    ("ensemble", {"field": dict(FIELD, oversample=40.0),
+                  "ensemble": small_ensemble_section(t_span=10.0, dt=1e-6, burn_in=1.0)}),
 ], ids=["oversample-1e308", "n-traj-1e12", "dt-1e-300", "simulate-t-span-1e12",
-        "basis-size-1e12", "n-states-1e12", "n-realizations-1e12"])
+        "basis-size-1e12", "n-states-1e12", "n-realizations-1e12", "comb-period-8e8"])
 def test_values_that_cannot_run_exit_2_before_allocating(tmp_path, capsys, command,
                                                          sections):
     # every value here is refused by a hard limit before anything is allocated
@@ -236,6 +239,20 @@ class TestEnsembleCommand:
         )
         assert cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_off_comb_oversample_exit_2_before_any_member(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # 2*oversample*n_steps = 200000.5: the drive step dt/2 is off the comb
+        calls = []
+        monkeypatch.setattr(ensemble, "_run_members", lambda *args: calls.append(args))
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force={"kind": "quartic", "omega0": 1.0, "lam": 0.1},
+            field=dict(FIELD, oversample=1.0000025), ensemble=small_ensemble_section(),
+        )
+        assert cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "drive step dt/2 0.008 lies off" in capsys.readouterr().err
+        assert calls == []
+
     def test_mode_count_limit_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
@@ -338,6 +355,15 @@ class TestCorrelateCommand:
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(127.32395, abs=1e-3)
 
+
+    def test_off_comb_sample_dt_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", scales=SCALES, field=FIELD,
+            correlate=dict(CORRELATE, lags=[0.0, 0.1], sample_dt=0.0137),
+        )
+        assert cli.main(["correlate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sample_dt 0.0137 lies off")
 
     def test_sample_count_limit_exit_2(self, tmp_path, capsys):
         cfg = write_config(

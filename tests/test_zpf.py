@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sedlab as sl
-from sedlab import zpf
 from sedlab.rng import derive_seed
 
 from oracles import correlation_quad, correlation_reference
@@ -135,10 +134,6 @@ def _manual_mode_set(omegas, amplitudes, delta_omega, scales=None):
     )
 
 
-def _refuse_bluestein(*args):
-    raise AssertionError("a grid on the comb took the Bluestein path")
-
-
 class TestFieldEvaluation:
     def test_single_mode_cosine(self):
         ms = _manual_mode_set([1.0], [2.0], 1.0)
@@ -159,36 +154,31 @@ class TestFieldEvaluation:
         with pytest.raises(sl.ConfigurationError):
             sl.eval_field_grid(r, bad)
 
-    def test_fast_synthesis_matches_direct_summation(self):
-        # misaligned grid step exercises the chirp path
-        ms = small_mode_set(total_time=200.0)  # 636 modes
-        r = sl.sample_realization(ms, 41)
-        t = 1.7 + 0.0137 * np.arange(6000)
-        fast = sl.eval_field_grid(r, t)
-        direct = sl.eval_field_direct(r, t)
-        assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
-
     @pytest.mark.parametrize(
-        "oversample, omega_cut, K, t0, m_samples",
+        "total_time, oversample, omega_cut, K, t0, m_samples",
         [
-            (1, 20.0, 5000, 0.0, 5001),  # even K, the drive grid's M = K + 1
-            (1, 20.0, 5001, 0.0, 3000),  # odd K, M < K
-            (2, 20.0, 1001, 3.7, 2600),  # M > 2K: the period repeats
-            (4, 20.0, 20000, 5.0, 12000),
-            (1, 160 * 2 * np.pi / 50.0, 320, 0.0, 1000),  # Nyquist bin filled
+            (50.0, 1, 20.0, 5000, 0.0, 5001),  # even K, the drive grid's M = K + 1
+            (50.0, 1, 20.0, 5001, 0.0, 3000),  # odd K, M < K
+            (50.0, 2, 20.0, 1001, 3.7, 2600),  # M > 2K: the period repeats
+            (50.0, 4, 20.0, 20000, 5.0, 12000),
+            (50.0, 1, 160 * 2 * np.pi / 50.0, 320, 0.0, 1000),  # Nyquist bin filled
+            (2000.0, 1, 20.0, 2_000_000, 5.0, 1000),  # step 0.001: K = 2000 M
+            # drive grids of dt = 0.016: K = 2*oversample*n_steps, M = 2*n_steps + 1
+            (50.0, 16, 20.0, 2 * 16 * 3125, 0.0, 6251),
+            (50.0, 64, 20.0, 2 * 64 * 3125, 0.0, 6251),
         ],
-        ids=["even-K", "odd-K", "repeat", "oversample-4", "nyquist"],
+        ids=["even-K", "odd-K", "repeat", "oversample-4", "nyquist",
+             "short-grid-long-comb", "drive-oversample-16", "drive-oversample-64"],
     )
     def test_comb_synthesis_matches_direct_summation(
-        self, monkeypatch, oversample, omega_cut, K, t0, m_samples
+        self, total_time, oversample, omega_cut, K, t0, m_samples
     ):
-        ms = sl.build_mode_set(sl.REF, omega_cut=omega_cut, total_time=50.0,
+        ms = sl.build_mode_set(sl.REF, omega_cut=omega_cut, total_time=total_time,
                                oversample=oversample)
         if omega_cut > 20.0:
             assert ms.n_modes == K // 2
         r = sl.sample_realization(ms, 17)
 
-        monkeypatch.setattr(zpf, "_synth_bluestein", _refuse_bluestein)
         t = t0 + 2 * np.pi / (ms.delta_omega * K) * np.arange(m_samples)
         fast = sl.eval_field_grid(r, t)
         direct = sl.eval_field_direct(r, t)
@@ -197,32 +187,36 @@ class TestFieldEvaluation:
     @pytest.mark.parametrize(
         "total_time, t0, step, m_samples",
         [
-            # off the comb by 1e-9: a comb-path result would be off by ~1e-6
+            # off the comb by 1e-9: a comb result would be off by ~1e-6
             (200.0, 5.0, 0.01 * (1 + 1e-9), 6000),
-            # on the comb, but K = 2e6 is far longer than M + N
-            (2000.0, 5.0, 0.001, 1000),
             # t[1] - t[0] is off by 2e-12 relative, the mean step is not
             (2000.0, 1000.0, 0.0137, 6000),
+            (200.0, 1.7, 0.0137, 6000),
         ],
-        ids=["off-by-1e-9", "short-grid-long-comb", "large-t0"],
+        ids=["off-by-1e-9", "large-t0", "misaligned"],
     )
-    def test_grid_off_the_comb_takes_bluestein(self, monkeypatch, total_time, t0, step,
-                                               m_samples):
+    def test_grid_off_the_comb_is_refused(self, total_time, t0, step, m_samples):
         ms = small_mode_set(total_time=total_time)
         r = sl.sample_realization(ms, 41)
-        calls = []
-        bluestein = zpf._synth_bluestein
-
-        def spy(*args):
-            calls.append(args)
-            return bluestein(*args)
-
-        monkeypatch.setattr(zpf, "_synth_bluestein", spy)
         t = t0 + step * np.arange(m_samples)
+        with pytest.raises(sl.ConfigurationError, match="off the field's frequency comb"
+                           ) as exc:
+            sl.eval_field_grid(r, t)
+        # the step the refusal names is within one comb bin of step, and a
+        # grid built from it (at the same t0) is synthesized on the comb
+        near = float(str(exc.value).rsplit(" ", 1)[-1])
+        assert abs(near - step) <= step**2 / total_time
+        t = t0 + near * np.arange(m_samples)
         fast = sl.eval_field_grid(r, t)
         direct = sl.eval_field_direct(r, t)
-        assert len(calls) == 1
         assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+    def test_comb_period_limit(self):
+        # K = 5e8 for a 16-sample grid: refused before the period is allocated
+        ms = small_mode_set()
+        r = sl.sample_realization(ms, 1)
+        with pytest.raises(sl.ResourceLimitError, match=r"comb period of 5e\+08"):
+            sl.eval_field_grid(r, 1e-7 * np.arange(16))
 
     def test_grid_variance_matches_mode_sum(self):
         # over one full recurrence period the sampled variance equals
@@ -262,6 +256,8 @@ class TestEmpiricalCorrelation:
         r = sl.sample_realization(ms, 1)
         with pytest.raises(sl.StatisticsError):
             sl.empirical_correlation([r], [0.0])
+        with pytest.raises(sl.StatisticsError):
+            sl.empirical_correlation(iter([r]), [0.0])
 
     @pytest.mark.parametrize("sample_dt, lags, error, field", [
         (0.0, [0.0, 1.0], sl.ConfigurationError, "sample_dt"),
@@ -282,12 +278,11 @@ class TestEmpiricalCorrelation:
         with pytest.raises(sl.ResourceLimitError, match="sample count"):
             sl.empirical_correlation(reals, [0.0, 0.1], sample_dt=1e-15)
 
-    def test_default_sample_dt_on_the_comb(self, monkeypatch):
+    def test_default_sample_dt_on_the_comb(self):
         # old default 2 pi/(8 omega_cut) is off this comb: 8*omega_cut/dw = 5093.0
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0, oversample=4.0)
         reals = [sl.sample_realization(ms, s) for s in (1, 2)]
 
-        monkeypatch.setattr(zpf, "_synth_bluestein", _refuse_bluestein)
         eighth = 2 * np.pi / (8 * ms.omega_cut)
         lags, _, _ = sl.empirical_correlation(reals, [0.0, eighth, 1.0])
         step = lags[1]  # stride 1: the step is within one comb bin of eighth
@@ -297,29 +292,27 @@ class TestEmpiricalCorrelation:
         strides = lags / step
         np.testing.assert_allclose(strides, np.round(strides), rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize(
-        "sample_dt, window, bluestein_calls",
-        [(0.05, (0.0, 400.0), 0), (0.0137, (3.0, 200.0), 5)],
-        ids=["comb", "bluestein"],
-    )
-    def test_matches_per_realization_synthesis(self, monkeypatch, sample_dt, window,
-                                               bluestein_calls):
+    @pytest.mark.parametrize("window", [(0.0, 400.0), (3.0, 200.0)],
+                             ids=["comb", "offset-window"])
+    def test_matches_per_realization_synthesis(self, window):
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=400.0, oversample=4.0)
         reals = [sl.sample_realization(ms, derive_seed(17, i)) for i in range(5)]
         lags = np.linspace(0.0, 5.0, 11)
-        want = correlation_reference(reals, lags, sample_dt, window)
-        calls = []
-        bluestein = zpf._synth_bluestein
-
-        def spy(*args):
-            calls.append(args)
-            return bluestein(*args)
-
-        monkeypatch.setattr(zpf, "_synth_bluestein", spy)
-        got = sl.empirical_correlation(reals, lags, sample_dt=sample_dt, window=window)
-        assert len(calls) == bluestein_calls
+        want = correlation_reference(reals, lags, 0.05, window)
+        got = sl.empirical_correlation(reals, lags, sample_dt=0.05, window=window)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        # a generator is consumed once and gives the same estimate
+        got = sl.empirical_correlation(iter(reals), lags, sample_dt=0.05, window=window)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_realizations_of_another_mode_set_refused(self):
+        ms = small_mode_set()
+        other = small_mode_set(total_time=60.0)
+        reals = (sl.sample_realization(m, s) for m, s in ((ms, 1), (ms, 2), (other, 3)))
+        with pytest.raises(sl.ConfigurationError, match="one ModeSet"):
+            sl.empirical_correlation(reals, [0.0])
 
     def test_tau_zero_exactly_zero(self):
         scales = sl.PhysicalScales(tau=0.0)
