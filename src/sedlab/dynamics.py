@@ -23,6 +23,11 @@ one real banded triangular solve over all steps instead; it agrees with the
 loop to rounding (about 1e-12 relative).  The variational hierarchy
 (hierarchy_terms) steps its six variables on Python floats the same way,
 bit-identical to a numpy loop of the same expressions.
+
+Every path reports a failure per member, as a record (step, kind, |x|) or
+None: kind 0 an escape beyond the force's bound, kind 1 a non-finite
+state.  Nothing folds a batch's records into one; integrate_trajectory and
+hierarchy_terms raise their one member's record through _raise.
 """
 
 from __future__ import annotations
@@ -80,13 +85,16 @@ class Trajectory:
         return self.p**2 / (2 * m) + force.potential(self.x)
 
 
-def _validate_step(scales: PhysicalScales, dt: float, omega_cut: float | None):
+def _validate_step(scales: PhysicalScales, force: ForceModel, dt: float,
+                   omega_cut: float | None):
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    if dt * scales.omega0 > _MAX_DT_OMEGA0 * (1 + 1e-12):
-        raise ConfigurationError(
-            f"dt*omega0 = {dt * scales.omega0:g} exceeds {_MAX_DT_OMEGA0}"
-        )
+    # the force's own restoring stiffness over scales.m: its factories take
+    # their own m, so omega0 alone need not be the integrated frequency
+    omega = max(scales.omega0, math.sqrt(max(0.0, -float(force.coeffs[1])) / scales.m))
+    if dt * omega > _MAX_DT_OMEGA0 * (1 + 1e-12):
+        raise ConfigurationError(f"dt*omega = {dt * omega:g} exceeds {_MAX_DT_OMEGA0}, "
+                                 f"omega = max(omega0, sqrt(-f'(0)/m))")
     if omega_cut is not None and dt * omega_cut > _MAX_DT_OMEGA_CUT * (1 + 1e-12):
         raise ConfigurationError(
             f"dt*omega_cut = {dt * omega_cut:g} exceeds {_MAX_DT_OMEGA_CUT}"
@@ -135,24 +143,17 @@ def rk4_core(
     dt: float,
     n_steps: int,
     store_stride: int = 1,
-    t0: float = 0.0,
-    *,
-    per_member: bool = False,
 ):
     """Classical RK4 over a batch of trajectories sharing (force, dt).
 
-    drive_half has shape (batch, 2*n_steps+1).  Returns decimated (x, p,
-    drive) arrays of shape (batch, n_steps//store_stride + 1).  Raises
-    EscapeError at the first step where |x| leaves the force model's bound,
-    and IntegrationDivergedError on a non-finite state; a batch raises at
-    its earliest failure.  Members are independent: a member's row does not
+    drive_half has shape (batch, 2*n_steps+1).  Returns (xs, ps, es, fails):
+    decimated x, p and drive arrays of shape (batch, n_steps//store_stride
+    + 1), and each member's first failure (step, kind, |x|) or None.  Kind
+    0 is an escape of |x| beyond the force model's bound, checked every
+    step; kind 1 a non-finite state.  Nothing is raised: every member runs
+    to its own first failure, and a failed member's rows of x, p and drive
+    are NaN.  Members are independent: a member's rows and record do not
     depend on the rest of its batch.
-
-    With per_member=True nothing is raised: every member runs to its own
-    first failure, the return gains a fourth item, the list of each
-    member's first failure (step, kind, |x|) or None (kind 0 an escape, 1 a
-    non-finite state, at time t0 + step*dt), and a failed member's rows of
-    x, p and drive are NaN.
 
     A linear force makes the RK4 step an affine map of the state, and every
     linear force runs as one banded solve of that recurrence (_rk4_affine);
@@ -165,12 +166,13 @@ def rk4_core(
             f"drive_half must have shape (batch, 2*n_steps+1) = "
             f"({len(x0)}, {2 * n_steps + 1}), got {np.shape(drive_half)}"
         )
+    n_out = n_steps // store_stride + 1
+    xs = np.empty((len(x0), n_out))
+    ps = np.empty((len(x0), n_out))
+    xs[:, 0], ps[:, 0] = x0, p0
+    es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
     integrate = _rk4_loop if np.any(force._c2) else _rk4_affine
-    xs, ps, es, fails = integrate(scales, force, drive_half, x0, p0, dt, n_steps,
-                                  store_stride)
-    if not per_member:
-        _raise_failure(fails, force.escape_bound, t0, dt)
-        return xs, ps, es
+    fails = integrate(scales, force, drive_half, dt, n_steps, store_stride, xs, ps)
     for row, fail in enumerate(fails):
         if fail is not None:
             xs[row] = ps[row] = es[row] = np.nan
@@ -249,58 +251,41 @@ def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
     return xs, ps, None
 
 
-def _rk4_loop(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
+def _rk4_loop(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
     """rk4_core's integration as an explicit step loop, for any force.
 
-    Members step one at a time (_rk4_lane), each to its own first failure.
-    Returns (xs, ps, es, fails) as rk4_core(per_member=True) does, except
-    that a failed member's rows are left unset.
+    Members step one at a time (_rk4_lane) from xs[:, 0], ps[:, 0], each to
+    its own first failure, and fill their rows of xs and ps.  Returns the
+    members' failure records; a failed member's rows are left unset.
     """
-    n_out = n_steps // store_stride + 1
-    xs = np.empty((len(x0), n_out))
-    ps = np.empty((len(x0), n_out))
-    es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
-    starts = zip(np.asarray(x0, dtype=np.float64).tolist(),
-                 np.asarray(p0, dtype=np.float64).tolist())
     fails = []
-    for row, (x, p) in enumerate(starts):
+    for row, (x, p) in enumerate(zip(xs[:, 0].tolist(), ps[:, 0].tolist())):
         xr, pr, fail = _rk4_lane(force, scales.m, scales.tau, dt, force.escape_bound,
                                  x, p, drive_half[row].tolist(), n_steps, store_stride)
         fails.append(fail)
         if fail is None:
             xs[row], ps[row] = xr, pr
-    return xs, ps, es, fails
+    return fails
 
 
-def _raise_escape(bound: float, t_fail: float, worst: float):
-    raise EscapeError(
-        f"|x| = {worst:g} beyond the confinement bound {bound:g} near t = {t_fail:g}",
-        t_fail=t_fail,
-        x=worst,
-    )
-
-
-def _raise_diverged(t_fail: float):
-    raise IntegrationDivergedError(f"non-finite state near t = {t_fail:g}", t_fail=t_fail)
-
-
-def _raise_failure(fails, bound, t0: float, dt: float):
-    """Raise the earliest of the members' first failures, if any, at its
-    time t0 + step*dt."""
-    fail = None
-    for first in fails:
-        fail = _earlier(fail, first)
+def _raise(fail, bound, t0: float, dt: float):
+    """Raise one member's failure record (step, kind, |x|) at its time
+    t0 + step*dt: EscapeError for kind 0, IntegrationDivergedError for kind
+    1.  None raises nothing."""
     if fail is None:
         return
     step, kind, worst = fail
+    t_fail = t0 + step * dt
     if kind == 0:
-        _raise_escape(bound, t0 + step * dt, worst)
-    _raise_diverged(t0 + step * dt)
+        raise EscapeError(f"|x| = {worst:g} beyond the confinement bound {bound:g} "
+                          f"near t = {t_fail:g}", t_fail=t_fail, x=worst)
+    raise IntegrationDivergedError(f"non-finite state near t = {t_fail:g}", t_fail=t_fail)
 
 
-def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
+def _rk4_affine(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
     """rk4_core's integration for a linear force, as one banded solve of the
-    RK4 recurrence; returns (xs, ps, es, fails) as _rk4_loop does.
+    RK4 recurrence; fills xs and ps and returns the failure records as
+    _rk4_loop does.
 
     With f linear, one step is s[j] = M s[j-1] + B u[j] + c for s = (x, p)
     and u[j] = (e0, e1/2, e1) of step j.  M, B and c are read off one
@@ -315,8 +300,8 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
     # finite gives NaN entries, and the solve then fails at step 1
     images = []
     for x, p, *e in np.eye(6)[:5].T.tolist():
-        xs, ps, fail = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1)
-        images.append((math.nan, math.nan) if fail else (xs[1], ps[1]))
+        xr, pr, fail = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1)
+        images.append((math.nan, math.nan) if fail else (xr[1], pr[1]))
     images = np.array(images).T
     c = images[:, 5]
     cols = images[:, :5] - c[:, None]  # [M | B]
@@ -333,13 +318,8 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
     inputs[:, 3] = 1.0
     state = np.empty((n_steps, 2))  # (x, p) after steps 1..n_steps
     bound = force.escape_bound
-    n_out = n_steps // store_stride + 1
-    xs = np.empty((len(x0), n_out))
-    ps = np.empty((len(x0), n_out))
-    xs[:, 0], ps[:, 0] = x0, p0
-    es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
     fails = []
-    for row in range(len(x0)):
+    for row in range(len(xs)):
         e = drive_half[row]
         inputs[:, 0], inputs[:, 1], inputs[:, 2] = e[0:-1:2], e[1::2], e[2::2]
         np.matmul(inputs, weights, out=state)
@@ -348,7 +328,7 @@ def _rk4_affine(scales, force, drive_half, x0, p0, dt, n_steps, store_stride):
         fails.append(_first_failure(state, bound))
         xs[row, 1:] = state[store_stride - 1 :: store_stride, 0]
         ps[row, 1:] = state[store_stride - 1 :: store_stride, 1]
-    return xs, ps, es, fails
+    return fails
 
 
 def _first_failure(state, bound):
@@ -369,22 +349,6 @@ def _first_failure(state, bound):
     return i + 1, kind, float(abs(x[i]))
 
 
-def _earlier(fail, first):
-    """Fold one member's first failure into the batch's earliest one.
-
-    Failures order by (step, kind); the reported |x| of an escape is the
-    largest one among the members escaping at that step (inf for an
-    overflow), NaN only when every one of them has a NaN x.
-    """
-    if first is None:
-        return fail
-    if fail is None or first[:2] < fail[:2]:
-        return first
-    if first[:2] == fail[:2]:
-        return (*fail[:2], float(np.fmax(fail[2], first[2])))
-    return fail
-
-
 def integrate_trajectory(
     scales: PhysicalScales,
     force: ForceModel,
@@ -399,17 +363,19 @@ def integrate_trajectory(
     """Integrate m x'' = f(x) + tau f'(x) x' + eE(t) with classical RK4.
 
     With realization None the drive term is zero.  The field is synthesized
-    once on the dt/2 grid, so midpoint stages are exact.
+    once on the dt/2 grid, so midpoint stages are exact.  The member's first
+    failure raises EscapeError or IntegrationDivergedError (see _raise).
     """
     omega_cut = realization.mode_set.omega_cut if realization is not None else None
-    _validate_step(scales, dt, omega_cut)
+    _validate_step(scales, force, dt, omega_cut)
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
     drive = synthesize_drive(realization, t0, dt, n_steps)
-    xs, ps, es = rk4_core(
+    xs, ps, es, (fail,) = rk4_core(
         scales, force, drive[None, :], np.array([x0]), np.array([p0]),
-        dt, n_steps, store_stride, t0,
+        dt, n_steps, store_stride,
     )
+    _raise(fail, force.escape_bound, t0, dt)
     meta = {
         "scales": scales.to_dict(),
         "force": force.to_dict(),
@@ -589,17 +555,14 @@ def hierarchy_terms(
     cubic scaling of the hierarchy residual for anharmonic forces.
     """
     omega_cut = realization.mode_set.omega_cut
-    _validate_step(scales, dt, omega_cut)
+    _validate_step(scales, force, dt, omega_cut)
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
     drive = synthesize_drive(realization, 0.0, dt, n_steps)
     start = (float(x0), float(p0), 0.0, 0.0, 0.0, 0.0)
     rows, fail = _hierarchy_lane(force, scales.m, scales.tau, dt, start, drive.tolist(),
                                  n_steps, store_stride)
-    if fail is not None:
-        raise IntegrationDivergedError(
-            f"non-finite hierarchy state near t = {fail * dt:g}", t_fail=fail * dt
-        )
+    _raise(fail, force.escape_bound, 0.0, dt)
     out = np.array(rows).T
     t = dt * store_stride * np.arange(out.shape[1])
     return {
@@ -616,8 +579,8 @@ def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, state: tupl
 
     e holds the drive on the half-step grid, as for _rk4_lane.  Returns
     (rows, fail): the state after every store_stride-th step, starting with
-    `state`, and None or the step at which a non-finite state was found,
-    checked every _CHECK_EVERY steps and at step n_steps.
+    `state`, and None or the failure record (step, 1, nan) of a non-finite
+    state, checked every _CHECK_EVERY steps and at step n_steps.
 
     f, f', f'' and f''' run one Horner loop, the shorter ones padded with
     zeros at the top powers, in _polyval's order of operations; x1*x1
@@ -668,5 +631,5 @@ def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, state: tupl
         if j % store_stride == 0:
             rows.append(s)
         if (j % _CHECK_EVERY == 0 or j == n_steps) and not all(map(math.isfinite, s)):
-            return rows, j
+            return rows, (j, 1, math.nan)
     return rows, None

@@ -98,7 +98,7 @@ class EnsembleConfig:
             raise ConfigurationError("n_traj must be >= 2")
         if self.burn_in < 0 or self.burn_in >= self.t_span:
             raise ConfigurationError("burn_in must lie inside [0, t_span)")
-        _validate_step(self.scales, self.dt, self.omega_cut)
+        _validate_step(self.scales, self.force, self.dt, self.omega_cut)
         _n_steps(self.t_span, self.dt)
 
     @property
@@ -213,10 +213,8 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
             realization = sample_realization(mode_set, _member_seed(config, member))
             drive[row] = synthesize_drive(realization, 0.0, config.dt, n_steps)
             x0[row], p0[row] = _member_ic(config, member)
-        *series, fails = rk4_core(
-            config.scales, config.force, drive, x0, p0, config.dt, n_steps,
-            config.decimate_stride, per_member=True,
-        )
+        *series, fails = rk4_core(config.scales, config.force, drive, x0, p0, config.dt,
+                                  n_steps, config.decimate_stride)
         del drive  # the largest array of a chunk: not resident while out fills
         for plane, rows in zip(out, series):
             plane[chunk.start : chunk.stop] = rows

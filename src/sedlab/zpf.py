@@ -28,7 +28,6 @@ All charge/light-speed constants are folded into tau; only
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -110,6 +109,9 @@ MAX_CORRELATION_PHASES = 250_000_000
 # period take 16*K bytes, 6.4 GB here, the drive grid of MAX_STEPS steps at
 # oversample 2
 MAX_COMB_PERIOD = 400_000_000
+# hard limit on the modes of one comb: its frequencies, amplitudes and each
+# realization's phases take 16 MB apiece here
+MAX_MODES = 2_000_000
 
 _EPS = np.finfo(float).eps
 
@@ -156,19 +158,6 @@ class ModeSet:
             "amplitude_scale": self.amplitude_scale,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModeSet":
-        scales = PhysicalScales.from_dict(d["scales"])
-        ms = build_mode_set(
-            scales,
-            omega_cut=d["omega_cut"],
-            total_time=2 * np.pi / (d["delta_omega"] * d["oversample"]),
-            oversample=d["oversample"],
-        )
-        if d.get("amplitude_scale", 1.0) != 1.0:
-            ms = ms.scaled(d["amplitude_scale"])
-        return ms
-
 
 @dataclass(frozen=True)
 class ZpfRealization:
@@ -178,34 +167,18 @@ class ZpfRealization:
     seed: int
     phases: np.ndarray = field(repr=False, default=None)
 
-    def to_dict(self) -> dict:
-        # phases are regenerable from the seed and are not stored
-        return {"mode_set": self.mode_set.to_dict(), "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ZpfRealization":
-        return sample_realization(ModeSet.from_dict(d["mode_set"]), d["seed"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ZpfRealization":
-        return cls.from_dict(json.loads(s))
-
 
 def build_mode_set(
     scales: PhysicalScales,
     omega_cut: float,
     total_time: float,
     oversample: float = 1.0,
-    max_modes: int = 2_000_000,
 ) -> ModeSet:
     """Construct the frequency comb for a simulation window of `total_time`.
 
     dw = 2 pi / (oversample * total_time) guarantees no recurrence of the
     quasi-periodic field inside the window.  Raises ResourceLimitError if the
-    comb would exceed `max_modes`.
+    comb would exceed MAX_MODES.
     """
     if omega_cut <= scales.omega0:
         raise ConfigurationError(
@@ -220,9 +193,9 @@ def build_mode_set(
     # counted on floats: dw underflows to 0 for a huge window, and a count
     # of modes past the limit may not fit an int
     n = np.floor(omega_cut / dw + 1e-12) if dw > 0 else np.inf
-    if not n <= max_modes:
+    if not n <= MAX_MODES:
         raise ResourceLimitError(
-            f"mode count {n:.4g} exceeds the configured hard limit {max_modes}"
+            f"mode count {n:.4g} exceeds the configured hard limit {MAX_MODES}"
         )
     n = int(n)
     omegas = dw * np.arange(1, n + 1)

@@ -128,6 +128,14 @@ class TestRunEnsemble:
         with pytest.raises(sl.ConfigurationError, match="dt\\*omega_cut"):
             small_config(dt=0.05)
 
+    @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
+                             ids=["harmonic", "quartic"])
+    def test_step_beyond_the_force_stiffness_refused(self, force):
+        # the force's own c1 = -1 over m = 1e-300 integrates at omega = 1e150;
+        # the quartic from rest would otherwise finish with all-zero rows
+        with pytest.raises(sl.ConfigurationError, match="dt\\*omega ="):
+            small_config(scales=sl.PhysicalScales(m=1e-300), force=force)
+
     def test_gaussian_initial_conditions(self):
         cfg = small_config(
             initial_conditions=sl.GaussianIC(x0_mean=0.0, x0_sd=1.0, p0_sd=1.0),

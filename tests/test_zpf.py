@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -46,7 +45,8 @@ class TestModeSet:
 
     def test_mode_limit(self):
         with pytest.raises(sl.ResourceLimitError):
-            sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=2000.0, max_modes=100)
+            # 3.2M modes at dw = 2 pi/1e6, past MAX_MODES
+            sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=1e6)
 
     def test_discretized_spectrum_consistency(self):
         # running sum of A^2/2 up to W tracks coeff*W^4/4 within one
@@ -110,15 +110,6 @@ class TestRealization:
         b = sl.sample_realization(ms, 2).phases
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 3.0 / np.sqrt(a.size)
-
-    def test_serialization_roundtrip(self):
-        ms = small_mode_set()
-        r = sl.sample_realization(ms, 99)
-        doc = r.to_json()
-        r2 = sl.ZpfRealization.from_json(doc)
-        assert np.array_equal(r.phases, r2.phases)
-        assert json.loads(doc)["seed"] == 99
-        assert "phases" not in json.loads(doc)
 
 
 def _manual_mode_set(omegas, amplitudes, delta_omega, scales=None):
