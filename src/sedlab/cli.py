@@ -10,10 +10,10 @@ writing machine-readable reports plus a manifest.  Exit codes are stable API:
     4  statistical precondition refused (window too short, no error bar)
     5  internal error
 
-Environment overrides are limited to SEDLAB_WORKERS (worker processes for
-nonlinear forces, default all available CPUs; linear forces run in-process;
-reports are bit-identical for any value) and SEDLAB_OUT (default output
-directory).
+The one environment override is SEDLAB_OUT (default output directory).
+Nonlinear forces run on up to one process per CPU the command may use
+(limit them with taskset), linear forces in-process; reports are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations

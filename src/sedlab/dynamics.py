@@ -70,16 +70,14 @@ MAX_STEPS = 100_000_000
 class Trajectory:
     """Sampled (t, x, p, eE) series from one integration."""
 
-    t0: float
     dt: float
     x: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    drive: np.ndarray | None = field(repr=False, default=None)
-    meta: dict = field(default_factory=dict)
+    drive: np.ndarray = field(repr=False)
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.x.size)
+        return self.dt * np.arange(self.x.size)
 
     def energy(self, force: ForceModel, m: float) -> np.ndarray:
         return self.p**2 / (2 * m) + force.potential(self.x)
@@ -101,17 +99,15 @@ def _validate_step(scales: PhysicalScales, force: ForceModel, dt: float,
         )
 
 
-def synthesize_drive(
-    realization: ZpfRealization | None, t0: float, dt: float, n_steps: int
-) -> np.ndarray:
-    """Drive samples on the half-step grid t0 + k*dt/2, k = 0..2*n_steps.
+def synthesize_drive(realization: ZpfRealization | None, dt: float, n_steps: int) -> np.ndarray:
+    """Drive samples on the half-step grid k*dt/2, k = 0..2*n_steps.
 
     dt/2 must lie on the realization's comb (see eval_field_grid): for a
     comb built for these n_steps steps, 2*oversample*n_steps must be whole.
     """
     if realization is None:
         return np.zeros(2 * n_steps + 1)
-    synth = _grid_synthesizer(realization.mode_set, t0, 0.5 * dt, 2 * n_steps + 1,
+    synth = _grid_synthesizer(realization.mode_set, 0.0, 0.5 * dt, 2 * n_steps + 1,
                               "drive step dt/2")
     return synth(realization)
 
@@ -268,14 +264,14 @@ def _rk4_loop(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
     return fails
 
 
-def _raise(fail, bound, t0: float, dt: float):
+def _raise(fail, bound, dt: float):
     """Raise one member's failure record (step, kind, |x|) at its time
-    t0 + step*dt: EscapeError for kind 0, IntegrationDivergedError for kind
-    1.  None raises nothing."""
+    step*dt: EscapeError for kind 0, IntegrationDivergedError for kind 1.
+    None raises nothing."""
     if fail is None:
         return
     step, kind, worst = fail
-    t_fail = t0 + step * dt
+    t_fail = step * dt
     if kind == 0:
         raise EscapeError(f"|x| = {worst:g} beyond the confinement bound {bound:g} "
                           f"near t = {t_fail:g}", t_fail=t_fail, x=worst)
@@ -336,7 +332,8 @@ def _first_failure(state, bound):
     of (x, p).
 
     Returns None when there is none; kind 0 is an escape and 1 a non-finite
-    state, as the loop orders them at one step.
+    state, as the loop orders them at one step, and |x| is NaN for kind 1
+    as on the loop.
     """
     x = state[:, 0]
     bad = ~(np.isfinite(x) & np.isfinite(state[:, 1]))
@@ -345,8 +342,9 @@ def _first_failure(state, bound):
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    kind = 0 if bound is not None and not abs(x[i]) <= bound else 1
-    return i + 1, kind, float(abs(x[i]))
+    if bound is not None and not abs(x[i]) <= bound:
+        return i + 1, 0, float(abs(x[i]))
+    return i + 1, 1, math.nan
 
 
 def integrate_trajectory(
@@ -358,33 +356,25 @@ def integrate_trajectory(
     t_span: float,
     dt: float,
     store_stride: int = 1,
-    t0: float = 0.0,
 ) -> Trajectory:
     """Integrate m x'' = f(x) + tau f'(x) x' + eE(t) with classical RK4.
 
     With realization None the drive term is zero.  The field is synthesized
     once on the dt/2 grid, so midpoint stages are exact.  The member's first
     failure raises EscapeError or IntegrationDivergedError (see _raise).
+    The Trajectory starts at t = 0 and holds the drive at its stored times.
     """
     omega_cut = realization.mode_set.omega_cut if realization is not None else None
     _validate_step(scales, force, dt, omega_cut)
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
-    drive = synthesize_drive(realization, t0, dt, n_steps)
+    drive = synthesize_drive(realization, dt, n_steps)
     xs, ps, es, (fail,) = rk4_core(
         scales, force, drive[None, :], np.array([x0]), np.array([p0]),
         dt, n_steps, store_stride,
     )
-    _raise(fail, force.escape_bound, t0, dt)
-    meta = {
-        "scales": scales.to_dict(),
-        "force": force.to_dict(),
-        "seed": None if realization is None else realization.seed,
-        "x0": x0,
-        "p0": p0,
-    }
-    return Trajectory(t0=t0, dt=dt * store_stride, x=xs[0], p=ps[0],
-                      drive=es[0], meta=meta)
+    _raise(fail, force.escape_bound, dt)
+    return Trajectory(dt=dt * store_stride, x=xs[0], p=ps[0], drive=es[0])
 
 
 def zeroth_order(
@@ -558,11 +548,11 @@ def hierarchy_terms(
     _validate_step(scales, force, dt, omega_cut)
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
-    drive = synthesize_drive(realization, 0.0, dt, n_steps)
+    drive = synthesize_drive(realization, dt, n_steps)
     start = (float(x0), float(p0), 0.0, 0.0, 0.0, 0.0)
-    rows, fail = _hierarchy_lane(force, scales.m, scales.tau, dt, start, drive.tolist(),
-                                 n_steps, store_stride)
-    _raise(fail, force.escape_bound, 0.0, dt)
+    rows, fail = _hierarchy_lane(force, scales.m, scales.tau, dt, force.escape_bound, start,
+                                 drive.tolist(), n_steps, store_stride)
+    _raise(fail, force.escape_bound, dt)
     out = np.array(rows).T
     t = dt * store_stride * np.arange(out.shape[1])
     return {
@@ -573,14 +563,16 @@ def hierarchy_terms(
     }
 
 
-def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, state: tuple,
-                    e: list, n_steps: int, store_stride: int):
+def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, bound,
+                    state: tuple, e: list, n_steps: int, store_stride: int):
     """hierarchy_terms' classical RK4 over (x0, p0, x1, p1, x2, p2), on floats.
 
     e holds the drive on the half-step grid, as for _rk4_lane.  Returns
     (rows, fail): the state after every store_stride-th step, starting with
-    `state`, and None or the failure record (step, 1, nan) of a non-finite
-    state, checked every _CHECK_EVERY steps and at step n_steps.
+    `state`, and None or the first failure record, as _rk4_lane's: (step, 0,
+    |x0|) for an escape of x0 beyond `bound` (None for no bound), checked
+    every step, or (step, 1, nan) for a non-finite state, checked every
+    _CHECK_EVERY steps and at step n_steps.
 
     f, f', f'' and f''' run one Horner loop, the shorter ones padded with
     zeros at the top powers, in _polyval's order of operations; x1*x1
@@ -627,6 +619,8 @@ def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, state: tupl
         p1 = p1 + sixth * (a[3] + 2 * b[3] + 2 * c[3] + d[3])
         x2 = x2 + sixth * (a[4] + 2 * b[4] + 2 * c[4] + d[4])
         p2 = p2 + sixth * (a[5] + 2 * b[5] + 2 * c[5] + d[5])
+        if bound is not None and not abs(x) <= bound:
+            return rows, (j, 0, abs(x))
         s = (x, p, x1, p1, x2, p2)
         if j % store_stride == 0:
             rows.append(s)

@@ -48,13 +48,15 @@ __all__ = [
     "power_spectrum",
 ]
 
-WORKERS_ENV = "SEDLAB_WORKERS"
 # hard limit on a report's x, p and drive planes, about 200 times the 86 MB
 # of the 200-member reference ensemble
 MAX_REPORT_BYTES = 16 * 2**30
 # drive held at once by one process: its members are integrated in chunks
 # of as many members as fit, at least one
 DRIVE_BUDGET = 24 * 2**20
+# shortest stationary window, in correlation times of the squared-amplitude
+# observables
+MIN_CORR_TIMES = 20.0
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
         x0, p0 = np.empty((2, len(chunk)))
         for row, member in enumerate(chunk):
             realization = sample_realization(mode_set, _member_seed(config, member))
-            drive[row] = synthesize_drive(realization, 0.0, config.dt, n_steps)
+            drive[row] = synthesize_drive(realization, config.dt, n_steps)
             x0[row], p0[row] = _member_ic(config, member)
         *series, fails = rk4_core(config.scales, config.force, drive, x0, p0, config.dt,
                                   n_steps, config.decimate_stride)
@@ -225,17 +227,9 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
 
 def _worker_count(n_workers: int | None) -> int:
     if n_workers is None:
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is None:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        try:
-            n_workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     return max(1, n_workers)
 
 
@@ -277,8 +271,8 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
 
     Every member writes its own rows, so the report depends only on
     (config, master_seed).  A nonlinear force splits the members once into
-    n_workers contiguous sub-ranges (n_workers defaults to SEDLAB_WORKERS,
-    else to every CPU this process may run on, and is capped by the member
+    n_workers contiguous sub-ranges (n_workers defaults to every CPU this
+    process may run on, which `taskset` limits, and is capped by the member
     count): this process integrates the first and n_workers - 1 forked
     worker processes the others, writing into shared memory.  A linear
     force, n_workers=1 or a platform without fork runs in this process
@@ -355,8 +349,8 @@ def _finite_members(report: EnsembleReport) -> np.ndarray:
     return np.all(np.isfinite(report.x), axis=1)
 
 
-def _require_window(report: EnsembleReport, window: tuple[float, float] | None,
-                    min_corr_times: float = 20.0) -> tuple[float, float]:
+def _require_window(report: EnsembleReport,
+                    window: tuple[float, float] | None) -> tuple[float, float]:
     cfg = report.config
     if window is None:
         window = (cfg.burn_in, cfg.t_span)
@@ -373,10 +367,10 @@ def _require_window(report: EnsembleReport, window: tuple[float, float] | None,
             f"stationary window must start after 5 energy-decay times "
             f"({settle:g}); got {lo:g}"
         )
-    needed = min_corr_times * cfg.correlation_time
+    needed = MIN_CORR_TIMES * cfg.correlation_time
     if hi - lo < needed:
         raise StatisticsError(
-            f"window of length {hi - lo:g} is shorter than {min_corr_times:g} "
+            f"window of length {hi - lo:g} is shorter than {MIN_CORR_TIMES:g} "
             f"correlation times ({needed:g}); estimate refused"
         )
     return lo, hi

@@ -118,15 +118,6 @@ class ForceModel:
             d["escape_bound"] = self.escape_bound
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForceModel":
-        return cls(
-            kind=d["kind"],
-            coeffs=tuple(d["coeffs"]),
-            params=dict(d.get("params", {})),
-            escape_bound=d.get("escape_bound"),
-        )
-
 
 def harmonic(omega0: float, m: float = 1.0) -> ForceModel:
     """f(x) = -m omega0^2 x."""

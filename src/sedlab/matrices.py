@@ -9,7 +9,6 @@ asserted on an inner "trusted" block; the default margin is n_states/5.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,26 +82,6 @@ class TransitionMatrix:
             "p_elems": c2pairs(self.p_elems),
             "trusted_margin": self.trusted_margin,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransitionMatrix":
-        def pairs2c(rows):
-            return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-        return cls(
-            scales=PhysicalScales.from_dict(d["scales"]),
-            energies=np.asarray(d["energies"], dtype=np.float64),
-            x_elems=pairs2c(d["x_elems"]),
-            p_elems=pairs2c(d["p_elems"]),
-            trusted_margin=int(d["trusted_margin"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "TransitionMatrix":
-        return cls.from_dict(json.loads(s))
 
 
 def oscillator_matrices(scales: PhysicalScales, n_states: int) -> TransitionMatrix:

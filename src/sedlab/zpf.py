@@ -90,10 +90,6 @@ class PhysicalScales:
     def to_dict(self) -> dict:
         return {"hbar": self.hbar, "m": self.m, "omega0": self.omega0, "tau": self.tau}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhysicalScales":
-        return cls(**d)
-
 
 #: Reference configuration used throughout the test bench.
 REF = PhysicalScales(hbar=1.0, m=1.0, omega0=1.0, tau=1e-2)
@@ -262,28 +258,27 @@ def _comb_period(ms: ModeSet, h: float, name: str = "grid step",
     return K
 
 
-def _comb_synthesizer(
-    amplitudes: np.ndarray,
-    alpha: np.ndarray,
-    dw: float,
-    t0: float,
-    K: int,
-    m_samples: int,
-):
-    """synth(phases) -> sum_alpha A cos(alpha*dw*t0 + 2 pi alpha j/K + phi),
-    j = 0..m_samples-1.
+def _grid_synthesizer(ms: ModeSet, t0: float, h: float, m_samples: int,
+                      name: str = "grid step", rtol: float = 4 * _EPS):
+    """Check the grid t0 + j*h, j < m_samples, once (see _comb_period).
 
-    alpha are the integer comb indices, all <= K/2 (the Nyquist bound).
-    Every call reuses one spectrum and one irfft output buffer, so the
-    samples a call returns are overwritten by the next call.
+    Returns synth(realization) -> eE on that grid, for realizations of
+    `ms`: sum_a A_a cos(a*dw*t0 + 2 pi a j/K + phi_a) over the comb indices
+    a = 1..N, all <= K/2 (the Nyquist bound).  Every call reuses one
+    spectrum and one irfft output buffer, so the samples of one call are
+    overwritten by the next.
     """
-    scaled = (K / 2) * amplitudes
-    shift = alpha * (dw * t0)
+    K = _comb_period(ms, h, name, rtol)
+    if K == 0:
+        return lambda r: np.zeros(m_samples)
+    n = ms.n_modes
+    scaled = (K / 2) * ms.amplitudes
+    shift = np.arange(1, n + 1) * (ms.delta_omega * t0)
     spec = np.zeros(K // 2 + 1, dtype=complex)  # zero off the comb, always
     period = np.empty(K)
 
-    def synth(phases):
-        spec[alpha] = scaled * np.exp(1j * (shift + phases))
+    def synth(r):
+        spec[1 : n + 1] = scaled * np.exp(1j * (shift + r.phases))
         if K % 2 == 0:
             spec[-1] *= 2.0  # irfft counts the Nyquist bin once, the others twice
         np.fft.irfft(spec, K, out=period)
@@ -292,21 +287,6 @@ def _comb_synthesizer(
         return np.resize(period, m_samples)
 
     return synth
-
-
-def _grid_synthesizer(ms: ModeSet, t0: float, h: float, m_samples: int,
-                      name: str = "grid step", rtol: float = 4 * _EPS):
-    """Check the grid t0 + j*h, j < m_samples, once (see _comb_period).
-
-    Returns synth(realization) -> eE on that grid, for realizations of
-    `ms`; the samples of one call are overwritten by the next.
-    """
-    K = _comb_period(ms, h, name, rtol)
-    if K == 0:
-        return lambda r: np.zeros(m_samples)
-    alpha = np.round(ms.omegas / ms.delta_omega).astype(np.intp)
-    synth = _comb_synthesizer(ms.amplitudes, alpha, ms.delta_omega, t0, K, m_samples)
-    return lambda r: synth(r.phases)
 
 
 def eval_field_grid(realization: ZpfRealization, t_grid: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sedlab as sl
 from sedlab import cli, ensemble
 from sedlab.config import window_from
 from sedlab.errors import ConfigurationError
@@ -288,6 +289,28 @@ class TestMatrixCommand:
         report = json.loads((out / "matrix_report.json").read_text())
         assert report["n_states"] == 30
         assert report["energies"][0] == pytest.approx(0.5173648, abs=1e-5)
+
+
+    @pytest.mark.parametrize("sections, build", [
+        ({"matrix": {"potential": "oscillator", "n_states": 8}},
+         lambda scales: sl.oscillator_matrices(scales, 8)),
+        ({"force": {"kind": "quartic", "omega0": 1.0, "lam": 0.1},
+          "matrix": {"potential": "force", "basis_size": 120}},
+         lambda scales: sl.diagonalize_potential(scales, sl.quartic(1.0, 0.1), 120)),
+    ], ids=["oscillator", "force"])
+    def test_transition_matrix_json_holds_the_matrix(self, tmp_path, sections, build):
+        cfg = write_config(tmp_path / "c.json", scales=SCALES, **sections)
+        out = tmp_path / "out"
+        assert cli.main(["matrix", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "transition_matrix.json").read_text())
+        tm = build(sl.PhysicalScales(**SCALES))
+        assert set(doc) == {"scales", "energies", "x_elems", "p_elems", "trusted_margin"}
+        assert doc["scales"] == SCALES
+        assert doc["energies"] == tm.energies.tolist()
+        for name in ("x_elems", "p_elems"):
+            mat = getattr(tm, name)
+            assert doc[name] == np.stack([mat.real, mat.imag], axis=-1).tolist(), name
+        assert doc["trusted_margin"] == tm.trusted_margin
 
 
 class TestSpectrumAndBalance:

@@ -106,7 +106,8 @@ def _assert_records(fast, oracle, t0, dt, exact=True):
     """rk4_core's rows and failure records against _oracle_alone's members.
 
     A failed member has NaN rows and a record of the oracle's kind at the
-    oracle's time t0 + step*dt, with the oracle's |x| for an escape.
+    oracle's time t0 + step*dt, with the oracle's |x| for an escape and NaN
+    for a divergence.
     exact=False is for the banded solve: rows and |x| to 1e-10 relative,
     and a divergence within the oracle's finiteness-check cadence.
     """
@@ -130,6 +131,8 @@ def _assert_records(fast, oracle, t0, dt, exact=True):
             assert abs(t0 + step * dt - ref.t_fail) < dynamics._CHECK_EVERY * dt
         if kind == 0:
             assert worst == (ref.x if exact else pytest.approx(ref.x, rel=1e-10))
+        else:
+            assert np.isnan(worst)
 
 
 def _max_rel(a, b):
@@ -139,10 +142,9 @@ def _max_rel(a, b):
 def _driven_rows(scales, t_span, dt, n_rows, t0=0.0, seed=4242):
     ms = sl.build_mode_set(scales, omega_cut=20.0, total_time=t_span)
     n_steps = int(round(t_span / dt))
-    drive = np.array([
-        dynamics.synthesize_drive(sl.sample_realization(ms, seed + i), t0, dt, n_steps)
-        for i in range(n_rows)
-    ])
+    t = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+    drive = np.array([sl.eval_field_grid(sl.sample_realization(ms, seed + i), t)
+                      for i in range(n_rows)])
     return drive, n_steps
 
 
@@ -578,7 +580,7 @@ class TestResponses:
 def _hierarchy_failure(r, t_span, dt=0.01):
     """t_fail of hierarchy_reference for f = 25x from x = 1 in realization r."""
     n_steps = int(round(t_span / dt))
-    drive = dynamics.synthesize_drive(r, 0.0, dt, n_steps)
+    drive = dynamics.synthesize_drive(r, dt, n_steps)
     with pytest.raises(sl.IntegrationDivergedError) as exc:
         hierarchy_reference(sl.REF, sl.polynomial([0.0, 25.0]), drive, 1.0, 0.0, dt,
                             n_steps)
@@ -637,10 +639,22 @@ class TestHierarchy:
         h = sl.hierarchy_terms(sl.REF, force, r, 1.0, -0.3, t_span, 0.01,
                                store_stride=stride)
         n_steps = int(round(t_span / 0.01))
-        drive = dynamics.synthesize_drive(r, 0.0, 0.01, n_steps)
+        drive = dynamics.synthesize_drive(r, 0.01, n_steps)
         ref = hierarchy_reference(sl.REF, force, drive, 1.0, -0.3, 0.01, n_steps, stride)
         for row, name in enumerate(("x0", "p0", "x1", "p1", "x2", "p2")):
             assert np.array_equal(_bits(h[name]), _bits(ref[row])), name
+
+    def test_escape_matches_zeroth_order(self):
+        # f = -x + x^3/2 runs away from x = 2.5; x0 is the drive-free motion,
+        # so it crosses the bound at zeroth_order's step with its |x|
+        force = sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0)
+        r = sl.sample_realization(sl.build_mode_set(sl.REF, 20.0, total_time=2.0), 3)
+        with pytest.raises(sl.EscapeError) as hier:
+            sl.hierarchy_terms(sl.REF, force, r, 2.5, 0.0, 2.0, 0.01)
+        with pytest.raises(sl.EscapeError) as zero:
+            sl.zeroth_order(sl.REF, force, 2.5, 0.0, 2.0, 0.01)
+        assert hier.value.t_fail == zero.value.t_fail < 2.0
+        assert hier.value.x == zero.value.x > 5.0
 
     def test_zeroth_component_matches_zeroth_order(self):
         force = sl.quartic(1.0, 0.1)

@@ -82,22 +82,6 @@ class TestRunEnsemble:
                     for ours, theirs in zip(rep.moments[name], ref.moments[name]):
                         assert np.array_equal(ours, theirs)
 
-    def test_worker_count_env_override(self, monkeypatch):
-        from sedlab.ensemble import WORKERS_ENV
-
-        cfg = small_config(n_traj=4)
-        ref = sl.run_ensemble(cfg, n_workers=1)
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        via_env = sl.run_ensemble(cfg)
-        assert np.array_equal(ref.x, via_env.x)
-
-    def test_non_integer_worker_env_is_a_configuration_error(self, monkeypatch):
-        from sedlab.ensemble import WORKERS_ENV
-
-        monkeypatch.setenv(WORKERS_ENV, "two")
-        with pytest.raises(sl.ConfigurationError, match=WORKERS_ENV):
-            sl.run_ensemble(small_config(n_traj=2))
-
     def test_paired_members_share_field(self):
         cfg = small_config(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=3)
         rep = sl.run_ensemble(cfg)

@@ -58,12 +58,6 @@ class TestForceModels:
         with pytest.raises(sl.ConfigurationError):
             sl.polynomial([1.0])
 
-    def test_serialization_roundtrip(self):
-        f = sl.quartic(1.0, 0.1)
-        f2 = sl.ForceModel.from_dict(f.to_dict())
-        assert f2.coeffs == f.coeffs
-        assert f2.kind == f.kind
-
 
 class TestHornerEvaluation:
     @pytest.mark.parametrize("force", [

@@ -130,13 +130,3 @@ class TestHeisenberg:
         h = sl.heisenberg_product(quartic_tm, 0)
         assert h["product"] > 0.25
         assert h["product"] == pytest.approx(0.2501358, rel=1e-4)
-
-
-class TestSerialization:
-    def test_roundtrip(self, oscillator_tm):
-        doc = oscillator_tm.to_json()
-        tm2 = sl.TransitionMatrix.from_json(doc)
-        np.testing.assert_allclose(tm2.energies, oscillator_tm.energies)
-        np.testing.assert_allclose(tm2.x_elems, oscillator_tm.x_elems)
-        np.testing.assert_allclose(tm2.p_elems, oscillator_tm.p_elems)
-        assert tm2.trusted_margin == oscillator_tm.trusted_margin

@@ -16,7 +16,6 @@ import pytest
 
 import sedlab as sl
 from sedlab import ensemble
-from sedlab.ensemble import WORKERS_ENV
 
 
 def _same(a, b):
@@ -51,7 +50,6 @@ def test_quartic_bit_identical_for_any_worker_count(monkeypatch, members):
     _same(ref, sl.run_ensemble(cfg, n_workers=1))
     for n_workers in (2, 4):
         _same(ref, sl.run_ensemble(cfg, n_workers=n_workers))
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     _same(ref, sl.run_ensemble(cfg))
 
 
