@@ -11,9 +11,9 @@ writing machine-readable reports plus a manifest.  Exit codes are stable API:
     5  internal error
 
 The one environment override is SEDLAB_OUT (default output directory).
-Nonlinear forces run on up to one process per CPU the command may use
-(limit them with taskset), linear forces in-process; reports are
-bit-identical for any worker count.
+Nonlinear forces and `correlate`'s realizations run on up to one process
+per CPU the command may use (limit them with taskset), linear forces
+in-process; reports are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ from .matrices import (
     oscillator_matrices,
     trk_sum,
 )
-from .rng import derive_seed
 from .zpf import (
-    MAX_CORRELATION_PHASES,
     build_mode_set,
     empirical_correlation,
     sample_realization,
@@ -250,19 +248,9 @@ def cmd_correlate(cfg: dict, out_dir: Path) -> None:
     scales = build_scales(cfg)
     body = cfg["correlate"]
     mode_set = build_mode_set(scales, total_time=body["total_time"], **cfg["field"])
-    n_phases = body["n_realizations"] * mode_set.n_modes
-    if n_phases > MAX_CORRELATION_PHASES:
-        raise ResourceLimitError(
-            f"{n_phases:.4g} field phases (n_realizations x {mode_set.n_modes} modes) "
-            f"exceed the configured hard limit {MAX_CORRELATION_PHASES}"
-        )
     seed = body["seed"]
-    realizations = (
-        sample_realization(mode_set, derive_seed(seed, i))
-        for i in range(body["n_realizations"])
-    )
     lags, est, se = empirical_correlation(
-        realizations, np.asarray(body["lags"], dtype=float),
+        mode_set, seed, body["n_realizations"], np.asarray(body["lags"], dtype=float),
         sample_dt=body.get("sample_dt"),
     )
     theory = theoretical_force_correlation(lags, scales, mode_set.omega_cut)

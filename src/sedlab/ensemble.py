@@ -3,10 +3,11 @@
 Trajectory i draws its field phases from seed splitmix64(master_seed XOR i)
 (pairs share a seed under common-noise pairing).  Members are independent
 lanes, so a nonlinear force splits them once across forked worker
-processes; a linear force runs in this process, where its banded solve is
-faster than the cost of a pool.  Each process integrates its members in
-chunks whose drive fits DRIVE_BUDGET.  Every reduction runs in index order
-after the workers finish -- reports are bit-identical for any worker count.
+processes (sedlab.pool); a linear force runs in this process, where its
+banded solve is faster than the cost of a pool.  Each process integrates
+its members in chunks whose drive fits DRIVE_BUDGET.  Every reduction runs
+in index order after the workers finish -- reports are bit-identical for
+any worker count.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -19,11 +20,11 @@ are refused: the per-trajectory averages would not be meaningful.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pool
 from .dynamics import _n_steps, _validate_step, rk4_core, synthesize_drive
 from .errors import (
     ConfigurationError,
@@ -225,20 +226,6 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
     return diverged
 
 
-def _worker_count(n_workers: int | None) -> int:
-    if n_workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    return max(1, n_workers)
-
-
-def _can_fork() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _shared_empty(shape: tuple) -> np.ndarray:
     """A float64 array in anonymous shared memory, which forked processes
     write into in place."""
@@ -248,24 +235,6 @@ def _shared_empty(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
-_FORKED = None  # (config, mode_set, out) of a forked worker, set at its start
-
-
-def _init_forked(*state):
-    global _FORKED
-    _FORKED = state
-
-
-def _run_forked(members: range) -> list:
-    return _run_members(*_FORKED, members)
-
-
-def _split(members: range, n_parts: int) -> list[range]:
-    """members cut into n_parts contiguous sub-ranges of near-equal length."""
-    n = len(members)
-    return [members[n * k // n_parts : n * (k + 1) // n_parts] for k in range(n_parts)]
-
-
 def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> EnsembleReport:
     """Run the configured ensemble; bit-identical for any worker count.
 
@@ -273,17 +242,17 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
     (config, master_seed).  A nonlinear force splits the members once into
     n_workers contiguous sub-ranges (n_workers defaults to every CPU this
     process may run on, which `taskset` limits, and is capped by the member
-    count): this process integrates the first and n_workers - 1 forked
-    worker processes the others, writing into shared memory.  A linear
-    force, n_workers=1 or a platform without fork runs in this process
-    alone.  Each process holds at most DRIVE_BUDGET bytes of drive at a
-    time, or one member's drive if that is larger.  No worker outlives the
-    call.  Diverged members are excluded and counted; more than 1%
-    divergence fails the run.  A drive step dt/2 off the field's comb, or
-    a comb period past MAX_COMB_PERIOD, is refused before the report is
-    allocated.
+    count) for `pool.fork_map`: this process integrates the first and
+    n_workers - 1 forked worker processes the others, writing into shared
+    memory.  A linear force runs as a single part, in this process, as does
+    any run with n_workers=1 or without fork.  Each process holds at most
+    DRIVE_BUDGET bytes of drive at a time, or one member's drive if that is
+    larger.  No worker outlives the call.  Diverged members are excluded and
+    counted; more than 1% divergence fails the run.  A drive step dt/2 off
+    the field's comb, or a comb period past MAX_COMB_PERIOD, is refused
+    before the report is allocated.
     """
-    n_workers = _worker_count(n_workers)
+    n_workers = pool.cpu_count() if n_workers is None else max(1, n_workers)
     n_mem = config.n_members
     n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
@@ -297,26 +266,14 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
     mode_set = config.mode_set()
     # every member's drive grid meets this check: refuse it before anything runs
     _comb_period(mode_set, 0.5 * config.dt, "drive step dt/2")
-    parts = _split(range(n_mem), min(n_workers, n_mem))
     t = config.dt * stride * np.arange(shape[2])
-    if len(parts) > 1 and np.any(config.force._c2) and _can_fork():
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        out = _shared_empty(shape)
-        # under fork the initargs are not pickled: the workers inherit
-        # (config, mode_set, out), the shared output included
-        with ProcessPoolExecutor(len(parts) - 1,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_forked,
-                                 initargs=(config, mode_set, out)) as pool:
-            futures = [pool.submit(_run_forked, part) for part in parts[1:]]
-            diverged = _run_members(config, mode_set, out, parts[0])
-            for future in futures:  # index order
-                diverged += future.result()
+    if np.any(config.force._c2):
+        parts = pool.split(range(n_mem), min(n_workers, n_mem))
     else:
-        out = np.empty(shape)
-        diverged = _run_members(config, mode_set, out, range(n_mem))
+        parts = [range(n_mem)]
+    # forked workers write their rows into shared memory
+    out = _shared_empty(shape) if len(parts) > 1 else np.empty(shape)
+    diverged = sum(pool.fork_map(_run_members, (config, mode_set, out), parts), [])
 
     x, p, drive = out
     if len(diverged) > 0.01 * n_mem:
@@ -407,7 +364,7 @@ class MemoryLossResult:
     delta: np.ndarray
     fitted_rate: float
     fitted_amplitude: float
-    expected_rate: float
+    expected_rate: float | None
 
     def envelope(self, t) -> np.ndarray:
         return self.fitted_amplitude * np.exp(-self.fitted_rate * np.asarray(t))
@@ -416,9 +373,12 @@ class MemoryLossResult:
 def memory_loss(report: EnsembleReport) -> MemoryLossResult:
     """Divergence of common-noise paired sub-ensembles, Delta(t) = |<x>_A - <x>_B|.
 
-    Under common noise the drive cancels in the difference, so the envelope
-    decays at the homogeneous amplitude rate tau*omega0^2/2.  The rate is
-    fitted by linear regression of log of the |Delta| peaks.
+    Under common noise the drive cancels in the difference, so for a linear
+    force f = c0 + c1*x the envelope decays at the homogeneous amplitude
+    rate tau*(-c1)/(2m), tau*omega0^2/2 for the oscillator: the expected
+    rate.  A nonlinear force has no such prediction, and its expected rate
+    is None.  The rate is fitted by linear regression of log of the |Delta|
+    peaks.
     """
     cfg = report.config
     if not isinstance(cfg.initial_conditions, PairedIC):
@@ -428,7 +388,10 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
     ok = np.all(np.isfinite(xa), axis=1) & np.all(np.isfinite(xb), axis=1)
     delta = np.abs(xa[ok].mean(axis=0) - xb[ok].mean(axis=0))
     t = report.t
-    expected = 0.5 * cfg.scales.tau * cfg.scales.omega0**2
+    if np.any(cfg.force._c2):
+        expected = None
+    else:
+        expected = cfg.scales.tau * -cfg.force.coeffs[1] / (2 * cfg.scales.m)
     # peaks of |Delta|, skipping the first quarter period
     interior = (delta[1:-1] > delta[:-2]) & (delta[1:-1] >= delta[2:])
     idx = np.where(interior)[0] + 1

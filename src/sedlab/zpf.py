@@ -21,21 +21,22 @@ so a realization has no recurrence inside the window.  A realization is
 synthesized only on a uniform grid whose step h lies on the comb,
 dw*h = 2 pi/K for a whole number K: there the sum is periodic with period K
 samples, one inverse real FFT of length K.  A grid off the comb is refused.
+The correlation estimator splits its realizations across one process per
+CPU (sedlab.pool); each process draws and synthesizes its own.
 All charge/light-speed constants are folded into tau; only
 (hbar, m, omega0, tau, omega_cut) appear.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pool
 from .errors import ConfigurationError, ResourceLimitError, StatisticsError
-from .rng import mode_phases
+from .rng import derive_seed, mode_phases
 
 __all__ = [
     "PhysicalScales",
@@ -98,8 +99,8 @@ REF = PhysicalScales(hbar=1.0, m=1.0, omega0=1.0, tau=1e-2)
 # buffer of that many float64 samples takes 128 MB
 MAX_CORRELATION_SAMPLES = 16_000_000
 # hard limit on the phases drawn over a correlation run (realizations x
-# modes).  One realization is resident at a time, so it bounds the run's
-# work, not its memory: every phase is drawn and synthesized once
+# modes).  One realization per process is resident at a time, so it bounds
+# the run's work, not its memory: every phase is drawn and synthesized once
 MAX_CORRELATION_PHASES = 250_000_000
 # hard limit on the comb period K of a synthesized grid: its spectrum and
 # period take 16*K bytes, 6.4 GB here, the drive grid of MAX_STEPS steps at
@@ -120,7 +121,6 @@ class ModeSet:
     omega_cut: float
     delta_omega: float
     oversample: float
-    amplitude_scale: float = 1.0
     omegas: np.ndarray = field(repr=False, default=None)
     amplitudes: np.ndarray = field(repr=False, default=None)
 
@@ -132,27 +132,6 @@ class ModeSet:
     def recurrence_time(self) -> float:
         """Period of the quasi-periodic sum, 2 pi / delta_omega."""
         return 2 * np.pi / self.delta_omega
-
-    def scaled(self, factor: float) -> "ModeSet":
-        """Same comb with all force amplitudes multiplied by `factor`."""
-        return ModeSet(
-            scales=self.scales,
-            omega_cut=self.omega_cut,
-            delta_omega=self.delta_omega,
-            oversample=self.oversample,
-            amplitude_scale=self.amplitude_scale * factor,
-            omegas=self.omegas,
-            amplitudes=self.amplitudes * factor,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "scales": self.scales.to_dict(),
-            "omega_cut": self.omega_cut,
-            "delta_omega": self.delta_omega,
-            "oversample": self.oversample,
-            "amplitude_scale": self.amplitude_scale,
-        }
 
 
 @dataclass(frozen=True)
@@ -365,33 +344,58 @@ def theoretical_force_correlation(
     return float(out[0]) if scalar else out
 
 
+def _correlation_rows(ms: ModeSet, seed: int, synth, n_base: int, strides: np.ndarray,
+                      part: range) -> np.ndarray:
+    """Rows `part` of empirical_correlation: realization i's lagged means."""
+    rows = np.empty((len(part), strides.size))
+    for row, i in enumerate(part):
+        e = synth(sample_realization(ms, derive_seed(seed, i)))
+        base = e[:n_base]
+        rows[row] = [np.mean(base * e[s : s + n_base]) for s in strides]
+    return rows
+
+
 def empirical_correlation(
-    realizations: Iterable[ZpfRealization],
+    mode_set: ModeSet,
+    seed: int,
+    n_realizations: int,
     lags: np.ndarray,
     sample_dt: float | None = None,
     window: tuple[float, float] | None = None,
 ):
     """Ensemble-and-time averaged <eE(t) eE(t+lag)> with jackknife errors.
 
-    Each realization is synthesized on a uniform grid of step `sample_dt`
-    over `window` (default: the simulated span, recurrence_time/oversample).
-    The step must lie on the comb (see eval_field_grid); by default it is
-    the largest comb step 2 pi/(K*dw), K whole, that is at most an eighth
-    of the cutoff period.  Averaging over the full recurrence period would
-    make the estimate phase-independent and its error bar degenerate, so
-    explicit windows near the full period are for diagnostics only.  Lags
-    are snapped to the sample grid; the snapped lags actually used are
-    returned.  `realizations` may be any iterable; a generator is consumed
-    once, so its realizations need not all be resident together.
+    Realization i is sample_realization(mode_set, derive_seed(seed, i)),
+    i < n_realizations.  Each is synthesized on a uniform grid of step
+    `sample_dt` over `window` (default: the simulated span,
+    recurrence_time/oversample).  The step must lie on the comb (see
+    eval_field_grid); by default it is the largest comb step 2 pi/(K*dw),
+    K whole, that is at most an eighth of the cutoff period.  Averaging
+    over the full recurrence period would make the estimate
+    phase-independent and its error bar degenerate, so explicit windows near
+    the full period are for diagnostics only.  Lags are snapped to the
+    sample grid; the snapped lags actually used are returned.
+
+    The realizations are split into contiguous ranges, one per CPU this
+    process may run on (`pool.fork_map`); each process draws and
+    synthesizes its own, one at a time.  The mean and the delete-one
+    jackknife run over the rows in index order, so the result is
+    bit-identical for any worker count.
 
     Returns (lags_used, estimates, stderr).  Refuses with StatisticsError for
-    fewer than two realizations (no error bar is computable).
+    fewer than two realizations (no error bar is computable), and with
+    ResourceLimitError for more than MAX_CORRELATION_PHASES phases
+    (realizations x modes) before any is drawn.
     """
-    realizations = iter(realizations)
-    head = list(itertools.islice(realizations, 2))
-    if len(head) < 2:
+    ms = mode_set
+    if n_realizations < 2:
         raise StatisticsError("empirical_correlation needs >= 2 realizations for an error bar")
-    ms = head[0].mode_set
+    n_phases = n_realizations * ms.n_modes
+    if n_phases > MAX_CORRELATION_PHASES:
+        raise ResourceLimitError(
+            f"{n_phases:.4g} field phases (n_realizations x {ms.n_modes} modes) "
+            f"exceed the configured hard limit {MAX_CORRELATION_PHASES}"
+        )
     if sample_dt is None:
         # at most an eighth of the cutoff period, on the comb's own grid
         sample_dt = 2 * np.pi / (ms.delta_omega * np.ceil(8 * ms.omega_cut / ms.delta_omega))
@@ -417,18 +421,12 @@ def empirical_correlation(
     if n_samp - steps.max() < 16:
         raise StatisticsError("window too short for the requested lags")
     strides = steps.astype(int)
-    max_stride = int(strides.max())
     lags_used = strides * sample_dt
 
     synth = _grid_synthesizer(ms, t_lo, sample_dt, n_samp, "sample_dt")
-    rows = []
-    for r in itertools.chain(head, realizations):
-        if r.mode_set is not ms and r.mode_set.to_dict() != ms.to_dict():
-            raise ConfigurationError("all realizations must share one ModeSet")
-        e = synth(r)
-        base = e[: n_samp - max_stride]
-        rows.append([np.mean(base * e[s : s + base.size]) for s in strides])
-    per_real = np.array(rows)
+    parts = pool.split(range(n_realizations), min(pool.cpu_count(), n_realizations))
+    state = (ms, seed, synth, n_samp - int(strides.max()), strides)
+    per_real = np.vstack(pool.fork_map(_correlation_rows, state, parts))
     est = per_real.mean(axis=0)
     # delete-one jackknife over realizations
     n = per_real.shape[0]

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import sedlab as sl
-from sedlab.rng import derive_seed
 
 from conftest import MASTER_SEED, SEED_STRIDE
 from oracles import dpx_bruteforce_time_domain, stationary_oracle
@@ -72,13 +71,9 @@ class TestCriterion1FieldStatistics:
         scales = sl.REF
         mode_set = sl.build_mode_set(scales, omega_cut=20.0, total_time=400.0,
                                      oversample=4.0)
-        realizations = [
-            sl.sample_realization(mode_set, derive_seed(MASTER_SEED + 2 * SEED_STRIDE, i))
-            for i in range(500)
-        ]
         lags = np.arange(0.0, 5.0 + 1e-9, 0.25)
-        lags_used, est, se = sl.empirical_correlation(realizations, lags,
-                                                      sample_dt=0.05)
+        lags_used, est, se = sl.empirical_correlation(
+            mode_set, MASTER_SEED + 2 * SEED_STRIDE, 500, lags, sample_dt=0.05)
         theory = sl.theoretical_force_correlation(lags_used, scales, 20.0)
         z = np.abs(est - theory) / se
         zero_lag = sl.theoretical_force_correlation(0.0, scales, 20.0)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -487,7 +488,8 @@ class TestGreensFunction:
 
 class TestResponses:
     def test_zero_field_zero_response(self):
-        ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0).scaled(0.0)
+        ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0)
+        ms = replace(ms, amplitudes=0.0 * ms.amplitudes)
         r = sl.sample_realization(ms, 4)
         g = sl.greens_function(sl.REF, sl.harmonic(1.0), "damped")
         t = 0.01 * np.arange(2000)
@@ -596,8 +598,8 @@ class TestHierarchy:
         base = sl.sample_realization(ms, 777)
 
         def residual(scale):
-            r = sl.ZpfRealization(mode_set=ms.scaled(scale), seed=base.seed,
-                                  phases=base.phases)
+            r = sl.ZpfRealization(mode_set=replace(ms, amplitudes=scale * ms.amplitudes),
+                                  seed=base.seed, phases=base.phases)
             h = sl.hierarchy_terms(scales, force, r, 1.0, 0.0, 40.0, 0.01, store_stride=5)
             full = sl.integrate_trajectory(scales, force, r, 1.0, 0.0, 40.0, 0.01,
                                            store_stride=5)

@@ -208,6 +208,12 @@ class TestMemoryLoss:
         assert np.max(res.delta) < 1e-12
         assert res.fitted_rate == 0.0
 
+    def test_nonlinear_force_has_no_expected_rate(self):
+        # the oscillator's tau*omega0^2/2 does not hold for a quartic
+        cfg = small_config(force=sl.quartic(1.0, 0.5), initial_conditions=sl.PairedIC(),
+                           n_traj=2)
+        assert sl.memory_loss(sl.run_ensemble(cfg)).expected_rate is None
+
     def test_requires_pairing(self, ref_ensemble_report):
         with pytest.raises(sl.ConfigurationError):
             sl.memory_loss(ref_ensemble_report)

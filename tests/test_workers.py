@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import sedlab as sl
-from sedlab import ensemble
+from sedlab import ensemble, pool
 
 
 def _same(a, b):
@@ -56,7 +56,7 @@ def test_quartic_bit_identical_for_any_worker_count(monkeypatch, members):
 def test_split_is_contiguous_and_covers_the_chunk():
     for n, parts in ((5, 2), (5, 4), (2, 2), (64, 3)):
         chunk = range(10, 10 + n)
-        pieces = ensemble._split(chunk, parts)
+        pieces = pool.split(chunk, parts)
         assert len(pieces) == parts
         assert [m for piece in pieces for m in piece] == list(chunk)
         assert max(map(len, pieces)) - min(map(len, pieces)) <= 1
@@ -144,5 +144,5 @@ def test_without_fork_the_run_stays_in_process(monkeypatch):
     cfg = _quartic_config()
     ref = sl.run_ensemble(cfg, n_workers=1)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert not ensemble._can_fork()
+    assert not pool._can_fork()
     _same(ref, sl.run_ensemble(cfg, n_workers=2))

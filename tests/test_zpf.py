@@ -1,10 +1,13 @@
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sedlab as sl
+from sedlab import pool, zpf
 from sedlab.rng import derive_seed
 
 from oracles import correlation_quad, correlation_reference
@@ -243,12 +246,8 @@ class TestTheoreticalCorrelation:
 
 class TestEmpiricalCorrelation:
     def test_refuses_single_realization(self):
-        ms = small_mode_set()
-        r = sl.sample_realization(ms, 1)
         with pytest.raises(sl.StatisticsError):
-            sl.empirical_correlation([r], [0.0])
-        with pytest.raises(sl.StatisticsError):
-            sl.empirical_correlation(iter([r]), [0.0])
+            sl.empirical_correlation(small_mode_set(), 1, 1, [0.0])
 
     @pytest.mark.parametrize("sample_dt, lags, error, field", [
         (0.0, [0.0, 1.0], sl.ConfigurationError, "sample_dt"),
@@ -257,25 +256,30 @@ class TestEmpiricalCorrelation:
         (0.05, [-1.0], sl.ConfigurationError, "lags"),
     ], ids=["zero-step", "negative-step", "huge-lag", "negative-lag"])
     def test_bad_grid_names_its_field(self, sample_dt, lags, error, field):
-        ms = small_mode_set()
-        reals = [sl.sample_realization(ms, s) for s in (1, 2)]
         with pytest.raises(error, match=field):
-            sl.empirical_correlation(reals, lags, sample_dt=sample_dt)
+            sl.empirical_correlation(small_mode_set(), 1, 2, lags, sample_dt=sample_dt)
 
     def test_sample_count_limit(self):
         # 5e16 samples per realization: refused before any allocation
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0)
-        reals = [sl.sample_realization(ms, s) for s in (1, 2)]
         with pytest.raises(sl.ResourceLimitError, match="sample count"):
-            sl.empirical_correlation(reals, [0.0, 0.1], sample_dt=1e-15)
+            sl.empirical_correlation(ms, 1, 2, [0.0, 0.1], sample_dt=1e-15)
+
+    def test_phase_limit_before_any_draw(self, monkeypatch):
+        # 1e12 realizations x 159 modes: refused before a phase is drawn
+        def no_draw(*args):
+            raise AssertionError("a phase was drawn")
+
+        monkeypatch.setattr(zpf, "sample_realization", no_draw)
+        with pytest.raises(sl.ResourceLimitError, match="phases"):
+            sl.empirical_correlation(small_mode_set(), 1, 10**12, [0.0])
 
     def test_default_sample_dt_on_the_comb(self):
         # old default 2 pi/(8 omega_cut) is off this comb: 8*omega_cut/dw = 5093.0
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=50.0, oversample=4.0)
-        reals = [sl.sample_realization(ms, s) for s in (1, 2)]
 
         eighth = 2 * np.pi / (8 * ms.omega_cut)
-        lags, _, _ = sl.empirical_correlation(reals, [0.0, eighth, 1.0])
+        lags, _, _ = sl.empirical_correlation(ms, 1, 2, [0.0, eighth, 1.0])
         step = lags[1]  # stride 1: the step is within one comb bin of eighth
         assert 0 < step <= eighth
         k = 2 * np.pi / (ms.delta_omega * step)
@@ -285,48 +289,53 @@ class TestEmpiricalCorrelation:
 
     @pytest.mark.parametrize("window", [(0.0, 400.0), (3.0, 200.0)],
                              ids=["comb", "offset-window"])
-    def test_matches_per_realization_synthesis(self, window):
+    def test_matches_per_realization_synthesis(self, monkeypatch, window):
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=400.0, oversample=4.0)
-        reals = [sl.sample_realization(ms, derive_seed(17, i)) for i in range(5)]
         lags = np.linspace(0.0, 5.0, 11)
-        want = correlation_reference(reals, lags, 0.05, window)
-        got = sl.empirical_correlation(reals, lags, sample_dt=0.05, window=window)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        # a generator is consumed once and gives the same estimate
-        got = sl.empirical_correlation(iter(reals), lags, sample_dt=0.05, window=window)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        # 4 workers on 2 realizations: the parts are capped by the realizations
+        for workers, n_real in ((1, 5), (2, 5), (4, 5), (4, 2)):
+            monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+            reals = [sl.sample_realization(ms, derive_seed(17, i)) for i in range(n_real)]
+            want = correlation_reference(reals, lags, 0.05, window)
+            got = sl.empirical_correlation(ms, 17, n_real, lags, sample_dt=0.05,
+                                           window=window)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
-    def test_realizations_of_another_mode_set_refused(self):
-        ms = small_mode_set()
-        other = small_mode_set(total_time=60.0)
-        reals = (sl.sample_realization(m, s) for m, s in ((ms, 1), (ms, 2), (other, 3)))
-        with pytest.raises(sl.ConfigurationError, match="one ModeSet"):
-            sl.empirical_correlation(reals, [0.0])
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        parent = os.getpid()
+        sample_realization = zpf.sample_realization
+
+        def failing_in_workers(*args):
+            if os.getpid() == parent:
+                return sample_realization(*args)
+            raise sl.ConfigurationError(f"draw failed in process {os.getpid()}")
+
+        # patched before the pool forks, so the workers inherit it
+        monkeypatch.setattr(pool, "cpu_count", lambda: 2)
+        monkeypatch.setattr(zpf, "sample_realization", failing_in_workers)
+        with pytest.raises(sl.ConfigurationError, match="draw failed in process"):
+            sl.empirical_correlation(small_mode_set(), 1, 4, [0.0, 1.0], sample_dt=0.05)
 
     def test_tau_zero_exactly_zero(self):
         scales = sl.PhysicalScales(tau=0.0)
         ms = sl.build_mode_set(scales, omega_cut=20.0, total_time=50.0)
-        reals = [sl.sample_realization(ms, s) for s in (1, 2, 3)]
-        lags, est, se = sl.empirical_correlation(reals, [0.0, 1.0])
+        lags, est, se = sl.empirical_correlation(ms, 1, 3, [0.0, 1.0])
         assert np.all(est == 0.0)
 
     def test_matches_theory_at_zero_lag(self):
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=100.0, oversample=4.0)
-        reals = [sl.sample_realization(ms, derive_seed(11, i)) for i in range(150)]
-        lags, est, se = sl.empirical_correlation(reals, [0.0], sample_dt=0.05)
+        lags, est, se = sl.empirical_correlation(ms, 11, 150, [0.0], sample_dt=0.05)
         theory = sl.theoretical_force_correlation(lags[0], sl.REF, 20.0)
         assert abs(est[0] - theory) < 4.0 * se[0]
 
     def test_stationarity_between_window_halves(self):
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=200.0)
-        reals = [sl.sample_realization(ms, derive_seed(13, i)) for i in range(60)]
         t_rec = ms.recurrence_time
         lags = [0.0, 1.0, 3.0]
-        l1, e1, s1 = sl.empirical_correlation(reals, lags, sample_dt=0.05,
+        l1, e1, s1 = sl.empirical_correlation(ms, 13, 60, lags, sample_dt=0.05,
                                               window=(0.0, t_rec / 2))
-        l2, e2, s2 = sl.empirical_correlation(reals, lags, sample_dt=0.05,
+        l2, e2, s2 = sl.empirical_correlation(ms, 13, 60, lags, sample_dt=0.05,
                                               window=(t_rec / 2, t_rec))
         assert np.all(np.abs(e1 - e2) <= 3.0 * np.hypot(s1, s2))
 
