@@ -19,8 +19,6 @@ from .dynamics import (
     greens_function,
     hierarchy_terms,
     integrate_trajectory,
-    second_order_response,
-    zeroth_order,
 )
 from .ensemble import (
     EnsembleConfig,

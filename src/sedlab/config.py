@@ -191,10 +191,8 @@ def build_ensemble_config(cfg: dict) -> EnsembleConfig:
 
 
 def window_from(body: dict, default: tuple[float, float]) -> tuple[float, float]:
+    """The section's 'window' as floats (load_config has checked it), or default."""
     win = body.get("window")
     if win is None:
         return default
-    is_window, what = _RULES["window"]
-    if not is_window(win):
-        raise ConfigurationError(f"'window' must be {what}, got {win!r}")
     return float(win[0]), float(win[1])

@@ -51,10 +51,8 @@ __all__ = [
     "Trajectory",
     "GreensFunction",
     "integrate_trajectory",
-    "zeroth_order",
     "greens_function",
     "first_order_response",
-    "second_order_response",
     "hierarchy_terms",
 ]
 
@@ -78,9 +76,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.x.size)
-
-    def energy(self, force: ForceModel, m: float) -> np.ndarray:
-        return self.p**2 / (2 * m) + force.potential(self.x)
 
 
 def _validate_step(scales: PhysicalScales, force: ForceModel, dt: float,
@@ -167,7 +162,7 @@ def rk4_core(
     ps = np.empty((len(x0), n_out))
     xs[:, 0], ps[:, 0] = x0, p0
     es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
-    integrate = _rk4_loop if np.any(force._c2) else _rk4_affine
+    integrate = _rk4_affine if force.is_linear() else _rk4_loop
     fails = integrate(scales, force, drive_half, dt, n_steps, store_stride, xs, ps)
     for row, fail in enumerate(fails):
         if fail is not None:
@@ -377,21 +372,6 @@ def integrate_trajectory(
     return Trajectory(dt=dt * store_stride, x=xs[0], p=ps[0], drive=es[0])
 
 
-def zeroth_order(
-    scales: PhysicalScales,
-    force: ForceModel,
-    x0: float,
-    p0: float,
-    t_span: float,
-    dt: float,
-    store_stride: int = 1,
-) -> Trajectory:
-    """Deterministic motion with the drive off; decays on the dissipation time."""
-    return integrate_trajectory(
-        scales, force, None, x0, p0, t_span, dt, store_stride=store_stride
-    )
-
-
 # ---------------------------------------------------------------------------
 # linear-response kernels
 # ---------------------------------------------------------------------------
@@ -489,32 +469,6 @@ def first_order_response(
     x1 = _causal_convolution(greens.g(u), e, h)
     p1 = greens.m * _causal_convolution(greens.gdot(u), e, h)
     return x1, p1
-
-
-def second_order_response(
-    greens: GreensFunction,
-    force: ForceModel,
-    x_zero: np.ndarray,
-    x_one: np.ndarray,
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    """Second-order term: x2(t) = int g(t-s) * (1/2) f''(x0(s)) x1(s)^2 ds.
-
-    The quadratic source is propagated by the same linearized kernel. For
-    forces with f'' = 0 everywhere (harmonic) the result is identically zero.
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    x_zero = np.asarray(x_zero, dtype=np.float64)
-    x_one = np.asarray(x_one, dtype=np.float64)
-    if not (t_grid.size == x_zero.size == x_one.size):
-        raise ConfigurationError("t_grid, x_zero and x_one must share one grid")
-    steps = np.diff(t_grid)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ConfigurationError("t_grid must be uniform")
-    src = 0.5 * force.fpp(x_zero) * x_one**2
-    u = h * np.arange(t_grid.size)
-    return _causal_convolution(greens.g(u), src, h)
 
 
 # ---------------------------------------------------------------------------

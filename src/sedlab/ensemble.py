@@ -235,24 +235,23 @@ def _shared_empty(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
 
 
-def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> EnsembleReport:
-    """Run the configured ensemble; bit-identical for any worker count.
+def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
+    """Run the configured ensemble; bit-identical for any CPU count.
 
     Every member writes its own rows, so the report depends only on
     (config, master_seed).  A nonlinear force splits the members once into
-    n_workers contiguous sub-ranges (n_workers defaults to every CPU this
-    process may run on, which `taskset` limits, and is capped by the member
-    count) for `pool.fork_map`: this process integrates the first and
-    n_workers - 1 forked worker processes the others, writing into shared
-    memory.  A linear force runs as a single part, in this process, as does
-    any run with n_workers=1 or without fork.  Each process holds at most
-    DRIVE_BUDGET bytes of drive at a time, or one member's drive if that is
-    larger.  No worker outlives the call.  Diverged members are excluded and
-    counted; more than 1% divergence fails the run.  A drive step dt/2 off
-    the field's comb, or a comb period past MAX_COMB_PERIOD, is refused
-    before the report is allocated.
+    one contiguous sub-range per CPU this process may run on
+    (`pool.cpu_count()`, which `taskset` limits), at most one per member,
+    for `pool.fork_map`: this process integrates the first and forked
+    worker processes the others, writing into shared memory.  A linear
+    force runs as a single part, in this process, as does any run on one
+    CPU or without fork.  Each process holds at most DRIVE_BUDGET bytes of
+    drive at a time, or one member's drive if that is larger.  No worker
+    outlives the call.  Diverged members are excluded and counted; more
+    than 1% divergence fails the run.  A drive step dt/2 off the field's
+    comb, or a comb period past MAX_COMB_PERIOD, is refused before the
+    report is allocated.
     """
-    n_workers = pool.cpu_count() if n_workers is None else max(1, n_workers)
     n_mem = config.n_members
     n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
@@ -267,10 +266,10 @@ def run_ensemble(config: EnsembleConfig, n_workers: int | None = None) -> Ensemb
     # every member's drive grid meets this check: refuse it before anything runs
     _comb_period(mode_set, 0.5 * config.dt, "drive step dt/2")
     t = config.dt * stride * np.arange(shape[2])
-    if np.any(config.force._c2):
-        parts = pool.split(range(n_mem), min(n_workers, n_mem))
-    else:
+    if config.force.is_linear():
         parts = [range(n_mem)]
+    else:
+        parts = pool.split(range(n_mem), min(pool.cpu_count(), n_mem))
     # forked workers write their rows into shared memory
     out = _shared_empty(shape) if len(parts) > 1 else np.empty(shape)
     diverged = sum(pool.fork_map(_run_members, (config, mode_set, out), parts), [])
@@ -388,10 +387,10 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
     ok = np.all(np.isfinite(xa), axis=1) & np.all(np.isfinite(xb), axis=1)
     delta = np.abs(xa[ok].mean(axis=0) - xb[ok].mean(axis=0))
     t = report.t
-    if np.any(cfg.force._c2):
-        expected = None
-    else:
+    if cfg.force.is_linear():
         expected = cfg.scales.tau * -cfg.force.coeffs[1] / (2 * cfg.scales.m)
+    else:
+        expected = None
     # peaks of |Delta|, skipping the first quarter period
     interior = (delta[1:-1] > delta[:-2]) & (delta[1:-1] >= delta[2:])
     idx = np.where(interior)[0] + 1

@@ -1,8 +1,10 @@
 """Binding force models.
 
 All supported forces are polynomials in x, stored by ascending coefficients,
-so f, f', f'', f''' and the potential V = -int f dx are exact.  The potential
-constant is fixed by V(equilibrium) = 0; only energy differences matter.
+so f, f' and the potential V = -int f dx are exact.  The potential constant
+is fixed by V(equilibrium) = 0; only energy differences matter.  The
+coefficients of f'' and f''' are cached too (_c2, _c3), for the variational
+hierarchy's step loop (dynamics._hierarchy_lane), which reads them directly.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class ForceModel:
         c = np.asarray(self.coeffs, dtype=np.float64)
         if c.size < 2 or not np.any(c[1:] != 0):
             raise ConfigurationError("force must depend on x")
-        # derivative coefficients are hot in the integrator loop; cache them
-        # as tuples of np.float64 for _polyval
+        # coefficients of f and f' (hot in the integrator loops) and of f''
+        # and f''' (for the hierarchy's loop), as tuples of np.float64
         object.__setattr__(self, "_c0", tuple(c))
         object.__setattr__(self, "_c1", tuple(_polyder(c)))
         object.__setattr__(self, "_c2", tuple(_polyder(_polyder(c))))
@@ -68,12 +70,6 @@ class ForceModel:
 
     def fp(self, x):
         return _polyval(self._c1, x)
-
-    def fpp(self, x):
-        return _polyval(self._c2, x)
-
-    def fppp(self, x):
-        return _polyval(self._c3, x)
 
     def potential(self, x):
         """V(x) = -int_0^x f + const, with V(equilibrium) = 0."""
@@ -104,6 +100,10 @@ class ForceModel:
         if k <= 0:
             raise ConfigurationError("equilibrium is not stable")
         return float(np.sqrt(k / m))
+
+    def is_linear(self) -> bool:
+        """True when f is affine in x: no coefficient past the linear one."""
+        return not np.any(self._c[2:])
 
     def is_confining(self) -> bool:
         """True when V grows without bound on both sides (leading V term even, positive)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sedlab as sl
+from sedlab import pool
 
 # One master seed for the big shared ensembles; any seed is valid, this one
 # is fixed so the suite is reproducible end to end.  Distinct experiments use
@@ -28,6 +29,16 @@ def no_process_left_running():
         child.join()
     if left:
         pytest.fail(f"child processes left running: {left}")
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """pin_cpus(k): for the rest of the test, `pool.cpu_count()` reports k,
+    so an ensemble or a correlation splits its work over k processes."""
+    def pin(k: int):
+        monkeypatch.setattr(pool, "cpu_count", lambda: k)
+
+    return pin
 
 
 @pytest.fixture(scope="session")

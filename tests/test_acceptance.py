@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sedlab as sl
+from sedlab import pool
 
 from conftest import MASTER_SEED, SEED_STRIDE
 from oracles import dpx_bruteforce_time_domain, stationary_oracle
@@ -294,19 +295,37 @@ class TestCriterion9PropertySuite:
                 f"max relative deviation {rel:.2e} over [0, 100]")
         assert ok
 
-    def test_reports_identical_across_workers(self):
-        cfg = sl.EnsembleConfig(
-            scales=sl.REF, force=sl.harmonic(1.0), omega_cut=20.0,
-            n_traj=8, master_seed=MASTER_SEED + 4 * SEED_STRIDE, t_span=150.0, dt=0.016,
-            burn_in=10.0,
-        )
-        a = sl.run_ensemble(cfg, n_workers=1)
-        b = sl.run_ensemble(cfg, n_workers=4)
-        same = (np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
+    def test_reports_identical_across_workers(self, monkeypatch, pin_cpus):
+        # the harmonic ensemble runs in one process for any CPU count; the
+        # quartic one splits its 8 members over 4 processes at 4 CPUs
+        fork_map = pool.fork_map
+        n_parts = []
+
+        def counting_fork_map(fn, state, parts):
+            n_parts.append(len(parts))
+            return fork_map(fn, state, parts)
+
+        monkeypatch.setattr(pool, "fork_map", counting_fork_map)
+        same = {}
+        for force in (sl.harmonic(1.0), sl.quartic(1.0, 0.1)):
+            cfg = sl.EnsembleConfig(
+                scales=sl.REF, force=force, omega_cut=20.0,
+                n_traj=8, master_seed=MASTER_SEED + 4 * SEED_STRIDE, t_span=150.0,
+                dt=0.016, burn_in=10.0,
+            )
+            pin_cpus(1)
+            a = sl.run_ensemble(cfg)
+            pin_cpus(4)
+            b = sl.run_ensemble(cfg)
+            same[force.kind] = (
+                np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
                 and np.array_equal(a.drive, b.drive)
                 and all(np.array_equal(a.moments[k][0], b.moments[k][0])
                         and np.array_equal(a.moments[k][1], b.moments[k][1])
                         for k in a.moments))
-        verdict("9c scheduling independence", same,
-                "reports bit-identical for 1 and 4 workers")
-        assert same
+        ok = all(same.values()) and n_parts == [1, 1, 1, 4]
+        verdict("9c scheduling independence", ok,
+                "reports bit-identical for 1 and 4 workers: "
+                + ", ".join(f"{kind} {'yes' if v else 'NO'}" for kind, v in same.items())
+                + f"; processes per run {n_parts}")
+        assert ok

@@ -7,7 +7,7 @@ import pytest
 
 import sedlab as sl
 from sedlab import cli, ensemble
-from sedlab.config import window_from
+from sedlab.config import load_config
 from sedlab.errors import ConfigurationError
 
 
@@ -121,9 +121,13 @@ def test_values_that_cannot_run_exit_2_before_allocating(tmp_path, capsys, comma
 
 @pytest.mark.parametrize("window", [[True, 5], 5, [1.0], [1.0, 2.0, 3.0], ["a", 5]],
                          ids=["bool-end", "scalar", "one-end", "three-ends", "string-end"])
-def test_window_from_refuses_malformed_windows(window):
-    with pytest.raises(ConfigurationError, match="window"):
-        window_from({"window": window}, (0.0, 1.0))
+def test_window_from_refuses_malformed_windows(tmp_path, window):
+    # a malformed window never reaches window_from: load_config refuses it
+    for section in ("balance", "spectrum"):
+        cfg = write_config(tmp_path / "c.json", scales=SCALES, force=FORCE, field=FIELD,
+                           ensemble=small_ensemble_section(), **{section: {"window": window}})
+        with pytest.raises(ConfigurationError, match=f"'{section}.window'"):
+            load_config(cfg, section)
 
 
 class TestSimulateCommand:

@@ -71,14 +71,14 @@ class TestIntegrator:
         force = sl.harmonic(1.0)
         a = sl.integrate_trajectory(sl.REF, force, r, 1.3, 0.0, 60.0, 0.01)
         b = sl.integrate_trajectory(sl.REF, force, r, 0.3, 0.0, 60.0, 0.01)
-        hom = sl.zeroth_order(sl.REF, force, 1.0, 0.0, 60.0, 0.01)
+        hom = sl.integrate_trajectory(sl.REF, force, None, 1.0, 0.0, 60.0, 0.01)
         assert np.max(np.abs((a.x - b.x) - hom.x)) < 1e-9
 
     def test_trajectory_energy_finite_and_bounded(self):
         r = _ref_realization(100.0)
         force = sl.quartic(1.0, 0.1)
         tr = sl.integrate_trajectory(sl.REF, force, r, 0.5, 0.0, 100.0, 0.01)
-        h = tr.energy(force, sl.REF.m)
+        h = tr.p**2 / (2 * sl.REF.m) + force.potential(tr.x)
         assert np.all(np.isfinite(h))
         assert h.max() < 100.0  # stays desk-scale for a confining force
 
@@ -430,21 +430,14 @@ class TestStepGridValidation:
 
 class TestZerothOrder:
     def test_equilibrium_start_stays_zero(self):
-        tr = sl.zeroth_order(sl.REF, sl.quartic(1.0, 0.1), 0.0, 0.0, 50.0, 0.01)
+        tr = sl.integrate_trajectory(sl.REF, sl.quartic(1.0, 0.1), None, 0.0, 0.0, 50.0, 0.01)
         assert np.all(tr.x == 0.0)
         assert np.all(tr.p == 0.0)
 
-    def test_bitwise_match_with_driveless_integration(self):
-        force = sl.harmonic(1.0)
-        a = sl.zeroth_order(sl.REF, force, 1.0, 0.2, 40.0, 0.01)
-        b = sl.integrate_trajectory(sl.REF, force, None, 1.0, 0.2, 40.0, 0.01)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.p, b.p)
-
     def test_quartic_energy_decays_monotonically(self):
         force = sl.quartic(1.0, 0.1)
-        tr = sl.zeroth_order(sl.REF, force, 1.0, 0.0, 100.0, 0.01)
-        h = tr.energy(force, sl.REF.m)
+        tr = sl.integrate_trajectory(sl.REF, force, None, 1.0, 0.0, 100.0, 0.01)
+        h = tr.p**2 / (2 * sl.REF.m) + force.potential(tr.x)
         dh = np.diff(h)
         assert h[-1] < h[0]
         assert np.all(dh <= 1e-12 * h[0])  # radiated power is non-negative
@@ -541,40 +534,9 @@ class TestResponses:
             ref = m * causal_convolution_direct(kernel, e, h)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_second_order_zero_for_harmonic(self):
-        r = _ref_realization(50.0)
-        force = sl.harmonic(1.0)
-        g = sl.greens_function(sl.REF, force, "damped")
-        t = 0.01 * np.arange(3000)
-        x1, _ = sl.first_order_response(g, r, t)
-        x2 = sl.second_order_response(g, force, np.zeros_like(t), x1, t)
-        assert np.all(x2 == 0.0)
-
-    def test_second_order_zero_at_origin_for_quartic(self):
-        # f'' of the quartic force vanishes at x = 0
-        r = _ref_realization(50.0)
-        force = sl.quartic(1.0, 0.1)
-        g = sl.greens_function(sl.REF, force, "damped")
-        t = 0.01 * np.arange(3000)
-        x1, _ = sl.first_order_response(g, r, t)
-        x2 = sl.second_order_response(g, force, np.zeros_like(t), x1, t)
-        assert np.all(x2 == 0.0)
-
-    def test_second_order_nonzero_off_origin(self):
-        r = _ref_realization(50.0)
-        force = sl.quartic(1.0, 0.1)
-        g = sl.greens_function(sl.REF, force, "damped")
-        t = 0.01 * np.arange(3000)
-        x1, _ = sl.first_order_response(g, r, t)
-        x2 = sl.second_order_response(g, force, np.cos(t), x1, t)
-        assert np.max(np.abs(x2)) > 0.0
-
     def test_grid_mismatch_rejected(self):
         r = _ref_realization(50.0)
         g = sl.greens_function(sl.REF, sl.harmonic(1.0), "damped")
-        t = 0.01 * np.arange(100)
-        with pytest.raises(sl.ConfigurationError):
-            sl.second_order_response(g, sl.quartic(1.0, 0.1), np.zeros(50), np.zeros(100), t)
         with pytest.raises(sl.ConfigurationError):
             sl.first_order_response(g, r, np.array([0.0, 0.1, 0.15]))
 
@@ -646,22 +608,22 @@ class TestHierarchy:
         for row, name in enumerate(("x0", "p0", "x1", "p1", "x2", "p2")):
             assert np.array_equal(_bits(h[name]), _bits(ref[row])), name
 
-    def test_escape_matches_zeroth_order(self):
+    def test_escape_matches_driveless_integration(self):
         # f = -x + x^3/2 runs away from x = 2.5; x0 is the drive-free motion,
-        # so it crosses the bound at zeroth_order's step with its |x|
+        # so it crosses the bound at the driveless integration's step with its |x|
         force = sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0)
         r = sl.sample_realization(sl.build_mode_set(sl.REF, 20.0, total_time=2.0), 3)
         with pytest.raises(sl.EscapeError) as hier:
             sl.hierarchy_terms(sl.REF, force, r, 2.5, 0.0, 2.0, 0.01)
         with pytest.raises(sl.EscapeError) as zero:
-            sl.zeroth_order(sl.REF, force, 2.5, 0.0, 2.0, 0.01)
+            sl.integrate_trajectory(sl.REF, force, None, 2.5, 0.0, 2.0, 0.01)
         assert hier.value.t_fail == zero.value.t_fail < 2.0
         assert hier.value.x == zero.value.x > 5.0
 
-    def test_zeroth_component_matches_zeroth_order(self):
+    def test_zeroth_component_matches_driveless_integration(self):
         force = sl.quartic(1.0, 0.1)
         r = _ref_realization(30.0)
         h = sl.hierarchy_terms(sl.REF, force, r, 1.0, 0.0, 30.0, 0.01)
-        z = sl.zeroth_order(sl.REF, force, 1.0, 0.0, 30.0, 0.01)
+        z = sl.integrate_trajectory(sl.REF, force, None, 1.0, 0.0, 30.0, 0.01)
         assert np.array_equal(h["x0"], z.x)
         assert np.array_equal(h["p0"], z.p)

@@ -54,10 +54,13 @@ class TestRunEnsemble:
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.drive, b.drive)
 
-    def test_bit_identical_across_worker_counts(self):
-        cfg = small_config(n_traj=10)
-        a = sl.run_ensemble(cfg, n_workers=1)
-        b = sl.run_ensemble(cfg, n_workers=4)
+    def test_bit_identical_across_worker_counts(self, pin_cpus):
+        # a nonlinear force: a linear one runs in-process for any CPU count
+        cfg = small_config(force=sl.quartic(1.0, 0.1), n_traj=10)
+        pin_cpus(1)
+        a = sl.run_ensemble(cfg)
+        pin_cpus(4)
+        b = sl.run_ensemble(cfg)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.p, b.p)
         for name in a.moments:
@@ -65,16 +68,18 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
                              ids=["harmonic", "quartic"])
-    def test_chunking_invariance(self, monkeypatch, force):
+    def test_chunking_invariance(self, monkeypatch, pin_cpus, force):
         # lanes are independent: the report depends neither on how many
         # members' drive the budget holds nor on the worker count
         cfg = small_config(force=force)
         member_bytes = 8 * (2 * ensemble._n_steps(cfg.t_span, cfg.dt) + 1)
-        ref = sl.run_ensemble(cfg, n_workers=1)
+        pin_cpus(1)
+        ref = sl.run_ensemble(cfg)
         for members in (1, 3, cfg.n_members):
             monkeypatch.setattr(ensemble, "DRIVE_BUDGET", members * member_bytes)
-            for n_workers in (1, 2, 4):
-                rep = sl.run_ensemble(cfg, n_workers=n_workers)
+            for workers in (1, 2, 4):
+                pin_cpus(workers)
+                rep = sl.run_ensemble(cfg)
                 for series in ("x", "p", "drive"):
                     assert np.array_equal(getattr(rep, series), getattr(ref, series))
                 assert rep.diverged == ref.diverged == []

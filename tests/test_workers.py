@@ -40,17 +40,18 @@ def _quartic_config():
 # member alone
 @pytest.mark.parametrize("members", [0, 3, 5, 7],
                          ids=["chunks-1", "chunks-3-3-1", "chunks-5-2", "chunk-7"])
-def test_quartic_bit_identical_for_any_worker_count(monkeypatch, members):
+def test_quartic_bit_identical_for_any_worker_count(monkeypatch, pin_cpus, members):
     # 7 members split over 2 workers (4 + 3) or 4 (2 + 2 + 2 + 1), each
     # share in chunks of the budget's width
     cfg = _quartic_config()
-    ref = sl.run_ensemble(cfg, n_workers=1)
+    every_cpu = pool.cpu_count()
+    pin_cpus(1)
+    ref = sl.run_ensemble(cfg)
     member_bytes = 8 * (2 * ensemble._n_steps(cfg.t_span, cfg.dt) + 1)
     monkeypatch.setattr(ensemble, "DRIVE_BUDGET", max(1, members * member_bytes))
-    _same(ref, sl.run_ensemble(cfg, n_workers=1))
-    for n_workers in (2, 4):
-        _same(ref, sl.run_ensemble(cfg, n_workers=n_workers))
-    _same(ref, sl.run_ensemble(cfg))
+    for workers in (1, 2, 4, every_cpu):
+        pin_cpus(workers)
+        _same(ref, sl.run_ensemble(cfg))
 
 
 def test_split_is_contiguous_and_covers_the_chunk():
@@ -76,24 +77,27 @@ def _escape_config():
     )
 
 
-def test_escaped_member_is_a_nan_row_for_any_worker_count():
+def test_escaped_member_is_a_nan_row_for_any_worker_count(pin_cpus):
     cfg = _escape_config()
-    ref = sl.run_ensemble(cfg, n_workers=1)
+    pin_cpus(1)
+    ref = sl.run_ensemble(cfg)
     assert ref.diverged == [(ESCAPE_MEMBER, ESCAPE_T)]
     failed = ~np.isfinite(ref.x).all(axis=1)
     assert np.flatnonzero(failed).tolist() == [ESCAPE_MEMBER]
     for series in (ref.x, ref.p, ref.drive):
         assert np.isnan(series[ESCAPE_MEMBER]).all()
         assert np.isfinite(series[~failed]).all()
-    for n_workers in (2, 4):
-        _same(ref, sl.run_ensemble(cfg, n_workers=n_workers))
+    for workers in (2, 4):
+        pin_cpus(workers)
+        _same(ref, sl.run_ensemble(cfg))
 
 
-def test_escaped_member_alone_matches_its_row_and_time():
+def test_escaped_member_alone_matches_its_row_and_time(pin_cpus):
     # each member integrated on its own, as a single trajectory: the escape
     # time of member 34 and the rows of its neighbours in the same share
     cfg = _escape_config()
-    report = sl.run_ensemble(cfg, n_workers=2)
+    pin_cpus(2)
+    report = sl.run_ensemble(cfg)
     stride = cfg.decimate_stride
     for member in (ESCAPE_MEMBER - 1, ESCAPE_MEMBER, ESCAPE_MEMBER + 1):
         realization = sl.sample_realization(cfg.mode_set(),
@@ -111,38 +115,42 @@ def test_escaped_member_alone_matches_its_row_and_time():
             assert np.array_equal(alone.drive, report.drive[member])
 
 
-def test_error_in_a_worker_reaches_the_caller(monkeypatch):
+def test_error_in_a_worker_reaches_the_caller(monkeypatch, pin_cpus):
     parent = os.getpid()
     rk4_core = ensemble.rk4_core
 
-    def escaping_in_workers(*args, **kwargs):
+    def escaping_outside_the_parent(*args, **kwargs):
         if os.getpid() == parent:
             return rk4_core(*args, **kwargs)
         raise sl.EscapeError(f"escape in process {os.getpid()}", t_fail=3.5, x=9.25)
 
     # patched before the pool forks, so the workers inherit it
-    monkeypatch.setattr(ensemble, "rk4_core", escaping_in_workers)
+    monkeypatch.setattr(ensemble, "rk4_core", escaping_outside_the_parent)
+    pin_cpus(2)
     with pytest.raises(sl.EscapeError) as exc:
-        sl.run_ensemble(_quartic_config(), n_workers=2)
+        sl.run_ensemble(_quartic_config())
     assert (exc.value.t_fail, exc.value.x) == (3.5, 9.25)
     assert str(exc.value).startswith("escape in process")
 
 
-def test_linear_force_never_starts_a_pool(monkeypatch):
+def test_linear_force_never_starts_a_pool(monkeypatch, pin_cpus):
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a linear force must run in-process")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    sl.run_ensemble(replace(_quartic_config(), force=sl.harmonic(1.0)), n_workers=4)
+    pin_cpus(4)
+    sl.run_ensemble(replace(_quartic_config(), force=sl.harmonic(1.0)))
 
 
-def test_without_fork_the_run_stays_in_process(monkeypatch):
+def test_without_fork_the_run_stays_in_process(monkeypatch, pin_cpus):
     import multiprocessing
 
     cfg = _quartic_config()
-    ref = sl.run_ensemble(cfg, n_workers=1)
+    pin_cpus(1)
+    ref = sl.run_ensemble(cfg)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert not pool._can_fork()
-    _same(ref, sl.run_ensemble(cfg, n_workers=2))
+    pin_cpus(2)
+    _same(ref, sl.run_ensemble(cfg))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sedlab as sl
-from sedlab import pool, zpf
+from sedlab import zpf
 from sedlab.rng import derive_seed
 
 from oracles import correlation_quad, correlation_reference
@@ -289,12 +289,12 @@ class TestEmpiricalCorrelation:
 
     @pytest.mark.parametrize("window", [(0.0, 400.0), (3.0, 200.0)],
                              ids=["comb", "offset-window"])
-    def test_matches_per_realization_synthesis(self, monkeypatch, window):
+    def test_matches_per_realization_synthesis(self, pin_cpus, window):
         ms = sl.build_mode_set(sl.REF, omega_cut=20.0, total_time=400.0, oversample=4.0)
         lags = np.linspace(0.0, 5.0, 11)
         # 4 workers on 2 realizations: the parts are capped by the realizations
         for workers, n_real in ((1, 5), (2, 5), (4, 5), (4, 2)):
-            monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+            pin_cpus(workers)
             reals = [sl.sample_realization(ms, derive_seed(17, i)) for i in range(n_real)]
             want = correlation_reference(reals, lags, 0.05, window)
             got = sl.empirical_correlation(ms, 17, n_real, lags, sample_dt=0.05,
@@ -302,18 +302,18 @@ class TestEmpiricalCorrelation:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
-    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch, pin_cpus):
         parent = os.getpid()
         sample_realization = zpf.sample_realization
 
-        def failing_in_workers(*args):
+        def failing_outside_the_parent(*args):
             if os.getpid() == parent:
                 return sample_realization(*args)
             raise sl.ConfigurationError(f"draw failed in process {os.getpid()}")
 
         # patched before the pool forks, so the workers inherit it
-        monkeypatch.setattr(pool, "cpu_count", lambda: 2)
-        monkeypatch.setattr(zpf, "sample_realization", failing_in_workers)
+        pin_cpus(2)
+        monkeypatch.setattr(zpf, "sample_realization", failing_outside_the_parent)
         with pytest.raises(sl.ConfigurationError, match="draw failed in process"):
             sl.empirical_correlation(small_mode_set(), 1, 4, [0.0, 1.0], sample_dt=0.05)
 
