@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleReport, _finite_members, _require_window
+from .ensemble import EnsembleReport, _mean_se, _stationary
 from .errors import ConfigurationError
 from .matrices import TransitionMatrix, _check_trusted
 from .zpf import PhysicalScales
@@ -49,17 +49,6 @@ class BalanceReport:
         se = np.hypot(self.radiated_se, self.absorbed_se)
         return abs(total) <= n_sigma * se
 
-    def to_dict(self) -> dict:
-        return {
-            "radiated": self.radiated,
-            "radiated_se": self.radiated_se,
-            "absorbed": self.absorbed,
-            "absorbed_se": self.absorbed_se,
-            "net_drift": self.net_drift,
-            "net_drift_se": self.net_drift_se,
-            "window": list(self.window),
-        }
-
 
 @dataclass(frozen=True)
 class DecayPrediction:
@@ -90,17 +79,10 @@ def measure_balance(report: EnsembleReport, window: tuple[float, float] | None =
     For the order-reduced equation radiated + absorbed integrates to dH/dt
     exactly, so at stationarity the two cancel within error.
     """
-    lo, hi = _require_window(report, window)
-    sl = report.window_slice((lo, hi))
+    window, t, (x, p, e) = _stationary(report, window, report.x, report.p, report.drive)
     cfg = report.config
-    ok = _finite_members(report)
-    x = report.x[ok][:, sl]
-    p = report.p[ok][:, sl]
-    e = report.drive[ok][:, sl]
-    t = report.t[sl]
     m = cfg.scales.m
     tau = cfg.scales.tau
-    n = x.shape[0]
 
     rad_i = (tau / m * cfg.force.fp(x) * p * (p / m)).mean(axis=1)
     abs_i = (p * e).mean(axis=1) / m
@@ -108,15 +90,12 @@ def measure_balance(report: EnsembleReport, window: tuple[float, float] | None =
     tc = t - t.mean()
     drift_i = (h_series * tc).sum(axis=1) / (tc**2).sum()
 
-    def pack(v):
-        return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))
-
-    rad, rad_se = pack(rad_i)
-    ab, ab_se = pack(abs_i)
-    dr, dr_se = pack(drift_i)
+    rad, rad_se = map(float, _mean_se(rad_i))
+    ab, ab_se = map(float, _mean_se(abs_i))
+    dr, dr_se = map(float, _mean_se(drift_i))
     return BalanceReport(
         radiated=rad, radiated_se=rad_se, absorbed=ab, absorbed_se=ab_se,
-        net_drift=dr, net_drift_se=dr_se, window=(lo, hi),
+        net_drift=dr, net_drift_se=dr_se, window=window,
     )
 
 
@@ -143,9 +122,7 @@ def predict_decay(tm: TransitionMatrix, scales: PhysicalScales, n: int) -> Decay
     return DecayPrediction(state=n, transitions=transitions, total_energy_rate=-total)
 
 
-def trace_dpp(
-    tm: TransitionMatrix, scales: PhysicalScales, n: int, omega_cut: float | None = None
-) -> float:
+def trace_dpp(tm: TransitionMatrix, scales: PhysicalScales, n: int, omega_cut: float) -> float:
     """Stationary momentum-diffusion trace from the matrix layer.
 
     The delta-function reduction of the field correlation leaves
@@ -160,15 +137,13 @@ def trace_dpp(
     m, tau = scales.m, scales.tau
     omegas = tm.omegas[n]
     x2 = np.abs(tm.x_elems[n]) ** 2
-    keep = np.ones_like(omegas, dtype=bool)
-    if omega_cut is not None:
-        keep = np.abs(omegas) <= omega_cut
-        dropped = (~keep) & (x2 > 1e-14)
-        if np.any(dropped):
-            warnings.warn(
-                f"trace_dpp: dropped {int(dropped.sum())} transition(s) beyond the cutoff",
-                stacklevel=2,
-            )
+    keep = np.abs(omegas) <= omega_cut
+    dropped = (~keep) & (x2 > 1e-14)
+    if np.any(dropped):
+        warnings.warn(
+            f"trace_dpp: dropped {int(dropped.sum())} transition(s) beyond the cutoff",
+            stacklevel=2,
+        )
     return float(m**2 * tau * np.sum(x2[keep] * omegas[keep] * np.abs(omegas[keep]) ** 3))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
     econf = build_ensemble_config(cfg)
     report = run_ensemble(econf)
     body = cfg.get("balance", {})
-    window = window_from(body, (econf.burn_in, econf.t_span))
+    window = window_from(body)
     meas = measure_balance(report, window)
     spectrum = power_spectrum(report, window)
 
@@ -192,7 +193,7 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
     dpp, dpp_se = scales.m * meas.absorbed, scales.m * meas.absorbed_se  # <p eE>
 
     comparison = {
-        "measured": meas.to_dict(),
+        "measured": asdict(meas),
         "balanced_within_3sigma": bool(meas.balanced_within(3.0)),
         "predictions": {
             "trace_dpp": dpp_pred,
@@ -226,8 +227,7 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
 def cmd_spectrum(cfg: dict, out_dir: Path) -> None:
     econf = build_ensemble_config(cfg)
     report = run_ensemble(econf)
-    window = window_from(cfg.get("spectrum", {}), (econf.burn_in, econf.t_span))
-    spec = power_spectrum(report, window)
+    spec = power_spectrum(report, window_from(cfg.get("spectrum", {})))
     writer = RunManifestWriter("spectrum", cfg, econf.master_seed, out_dir)
     ppath = out_dir / "psd.csv"
     write_csv(ppath, ["omega", "psd", "psd_se"], [spec.omega, spec.psd, spec.psd_se])

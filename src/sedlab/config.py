@@ -190,9 +190,8 @@ def build_ensemble_config(cfg: dict) -> EnsembleConfig:
                           **cfg["field"], **ens)
 
 
-def window_from(body: dict, default: tuple[float, float]) -> tuple[float, float]:
-    """The section's 'window' as floats (load_config has checked it), or default."""
+def window_from(body: dict) -> tuple[float, float] | None:
+    """The section's 'window' as floats (load_config has checked it), or None
+    for the estimators' default, (burn_in, t_span)."""
     win = body.get("window")
-    if win is None:
-        return default
-    return float(win[0]), float(win[1])
+    return None if win is None else (float(win[0]), float(win[1]))

@@ -20,7 +20,7 @@ are refused: the per-trajectory averages would not be meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class EnsembleConfig:
         ic = self.initial_conditions
         ic_d = {"kind": type(ic).__name__, **ic.__dict__}
         return {
-            "scales": self.scales.to_dict(),
+            "scales": asdict(self.scales),
             "force": self.force.to_dict(),
             "omega_cut": self.omega_cut,
             "n_traj": self.n_traj,
@@ -160,10 +160,6 @@ class EnsembleReport:
     @property
     def n_members(self) -> int:
         return self.x.shape[0]
-
-    def window_slice(self, window: tuple[float, float]) -> np.ndarray:
-        lo, hi = window
-        return (self.t >= lo - 1e-12) & (self.t <= hi + 1e-12)
 
     def summary_dict(self) -> dict:
         return {
@@ -279,38 +275,43 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
         raise IntegrationDivergedError(
             f"{len(diverged)} of {n_mem} members diverged (> 1%)"
         )
-    ok = np.all(np.isfinite(x), axis=1)
+    ok = _finite_members(x)
     xm, pm = x[ok], p[ok]
-    n = xm.shape[0]
     h_series = pm**2 / (2 * config.scales.m) + config.force.potential(xm)
-
-    def mom(series):
-        mean = series.mean(axis=0)
-        se = series.std(axis=0, ddof=1) / np.sqrt(n)
-        return mean, se
-
     moments = {
-        "x": mom(xm),
-        "p": mom(pm),
-        "x2": mom(xm**2),
-        "p2": mom(pm**2),
-        "H": mom(h_series),
+        "x": _mean_se(xm),
+        "p": _mean_se(pm),
+        "x2": _mean_se(xm**2),
+        "p2": _mean_se(pm**2),
+        "H": _mean_se(h_series),
     }
     return EnsembleReport(
         config=config, t=t, x=x, p=p, drive=drive, diverged=diverged, moments=moments
     )
 
 
-def _finite_members(report: EnsembleReport) -> np.ndarray:
-    return np.all(np.isfinite(report.x), axis=1)
+def _finite_members(x: np.ndarray) -> np.ndarray:
+    """The rows of x that are finite throughout: the members that survived."""
+    return np.all(np.isfinite(x), axis=1)
 
 
-def _require_window(report: EnsembleReport,
-                    window: tuple[float, float] | None) -> tuple[float, float]:
+def _mean_se(values: np.ndarray) -> tuple:
+    """Mean over the members (axis 0) and its i.i.d. standard error."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
+
+
+def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
+                *planes: np.ndarray) -> tuple:
+    """The stationary window and each plane's finite members within it.
+
+    `window` defaults to (burn_in, t_span).  It must lie inside the
+    simulated span after the burn-in (ConfigurationError), start after 5
+    energy-decay times and last MIN_CORR_TIMES correlation times
+    (StatisticsError).  Returns ((lo, hi), the times in the window, [each
+    plane's rows for the members with finite x, cut to the window]).
+    """
     cfg = report.config
-    if window is None:
-        window = (cfg.burn_in, cfg.t_span)
-    lo, hi = window
+    lo, hi = (cfg.burn_in, cfg.t_span) if window is None else window
     if lo < cfg.burn_in - 1e-9:
         raise ConfigurationError(
             f"window start {lo:g} precedes the burn-in {cfg.burn_in:g}"
@@ -329,7 +330,9 @@ def _require_window(report: EnsembleReport,
             f"window of length {hi - lo:g} is shorter than {MIN_CORR_TIMES:g} "
             f"correlation times ({needed:g}); estimate refused"
         )
-    return lo, hi
+    sl = (report.t >= lo - 1e-12) & (report.t <= hi + 1e-12)
+    ok = _finite_members(report.x)
+    return (lo, hi), report.t[sl], [plane[ok][:, sl] for plane in planes]
 
 
 def stationary_moments(report: EnsembleReport, window: tuple[float, float] | None = None) -> dict:
@@ -338,13 +341,8 @@ def stationary_moments(report: EnsembleReport, window: tuple[float, float] | Non
     Returns {'x2', 'p2', 'H', 'dxdp', 'x', 'p'} -> (value, stderr).  The
     uncertainty product uses per-trajectory centered variances.
     """
-    lo, hi = _require_window(report, window)
-    sl = report.window_slice((lo, hi))
-    ok = _finite_members(report)
+    _, _, (x, p) = _stationary(report, window, report.x, report.p)
     cfg = report.config
-    x = report.x[ok][:, sl]
-    p = report.p[ok][:, sl]
-    n = x.shape[0]
     h_i = (p**2 / (2 * cfg.scales.m) + cfg.force.potential(x)).mean(axis=1)
     per = {
         "x": x.mean(axis=1),
@@ -354,7 +352,7 @@ def stationary_moments(report: EnsembleReport, window: tuple[float, float] | Non
         "H": h_i,
         "dxdp": np.sqrt(x.var(axis=1) * p.var(axis=1)),
     }
-    return {k: (float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))) for k, v in per.items()}
+    return {k: tuple(map(float, _mean_se(v))) for k, v in per.items()}
 
 
 @dataclass(frozen=True)
@@ -384,7 +382,7 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
         raise ConfigurationError("memory_loss requires common-noise paired initial conditions")
     xa = report.x[0::2]
     xb = report.x[1::2]
-    ok = np.all(np.isfinite(xa), axis=1) & np.all(np.isfinite(xb), axis=1)
+    ok = _finite_members(xa) & _finite_members(xb)
     delta = np.abs(xa[ok].mean(axis=0) - xb[ok].mean(axis=0))
     t = report.t
     if cfg.force.is_linear():
@@ -409,17 +407,10 @@ def estimate_diffusion(report: EnsembleReport) -> dict:
 
     Pure ensemble averages at each stored time, with i.i.d. standard errors.
     """
-    ok = _finite_members(report)
-    x = report.x[ok]
-    p = report.p[ok]
-    e = report.drive[ok]
-    n = x.shape[0]
-
-    def avg(prod):
-        return prod.mean(axis=0), prod.std(axis=0, ddof=1) / np.sqrt(n)
-
-    dpx, dpx_se = avg(x * e)
-    dpp, dpp_se = avg(p * e)
+    ok = _finite_members(report.x)
+    x, p, e = report.x[ok], report.p[ok], report.drive[ok]
+    dpx, dpx_se = _mean_se(x * e)
+    dpp, dpp_se = _mean_se(p * e)
     return {"t": report.t, "dpx": dpx, "dpx_se": dpx_se, "dpp": dpp, "dpp_se": dpp_se}
 
 
@@ -447,22 +438,20 @@ def power_spectrum(report: EnsembleReport, window: tuple[float, float] | None = 
     (twice the fitted envelope rate), which is the figure to compare with a
     predicted line width.
     """
-    lo, hi = _require_window(report, window)
-    sl = report.window_slice((lo, hi))
-    ok = _finite_members(report)
-    x = report.x[ok][:, sl]
-    n, L = x.shape
+    _, _, (x,) = _stationary(report, window, report.x)
+    L = x.shape[1]
     if L < 64:
         raise StatisticsError("window too short for the requested spectral resolution")
     dts = report.t[1] - report.t[0]
     spec = np.fft.rfft(x, axis=1)
     per = (np.abs(spec) ** 2) * (dts / (2 * np.pi * L))
-    per[:, 1:] *= 2.0  # one-sided (DC bin unique; drop Nyquist doubling subtlety for odd L)
+    # one-sided: every bin but DC is doubled; an even L's Nyquist bin, which
+    # is unique like DC, is halved back
+    per[:, 1:] *= 2.0
     if L % 2 == 0:
         per[:, -1] /= 2.0
     omega = 2 * np.pi * np.fft.rfftfreq(L, d=dts)
-    psd = per.mean(axis=0)
-    psd_se = per.std(axis=0, ddof=1) / np.sqrt(n)
+    psd, psd_se = _mean_se(per)
     d_omega = omega[1] - omega[0]
     k = int(np.argmax(psd))
     if not psd[k] > 0:

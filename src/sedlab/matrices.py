@@ -10,7 +10,7 @@ asserted on an inner "trusted" block; the default margin is n_states/5.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
@@ -76,7 +76,7 @@ class TransitionMatrix:
             return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
         return {
-            "scales": self.scales.to_dict(),
+            "scales": asdict(self.scales),
             "energies": [float(e) for e in self.energies],
             "x_elems": c2pairs(self.x_elems),
             "p_elems": c2pairs(self.p_elems),

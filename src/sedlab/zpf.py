@@ -88,9 +88,6 @@ class PhysicalScales:
         """Prefactor of the cubic force spectral density, m*tau*hbar/pi."""
         return self.m * self.tau * self.hbar / np.pi
 
-    def to_dict(self) -> dict:
-        return {"hbar": self.hbar, "m": self.m, "omega0": self.omega0, "tau": self.tau}
-
 
 #: Reference configuration used throughout the test bench.
 REF = PhysicalScales(hbar=1.0, m=1.0, omega0=1.0, tau=1e-2)

@@ -34,13 +34,13 @@ class TestDecayPredictions:
 
 class TestTraceDpp:
     def test_oscillator_ground_state_value(self, oscillator_tm):
-        val = sl.trace_dpp(oscillator_tm, sl.REF, 0)
+        val = sl.trace_dpp(oscillator_tm, sl.REF, 0, omega_cut=20.0)
         assert val == pytest.approx(5e-3, rel=1e-12)  # m tau hbar omega0^3 / 2
 
     def test_tau_zero(self):
         scales = sl.PhysicalScales(tau=0.0)
         tm = sl.oscillator_matrices(scales, 8)
-        assert sl.trace_dpp(tm, scales, 0) == 0.0
+        assert sl.trace_dpp(tm, scales, 0, omega_cut=20.0) == 0.0
 
     def test_cutoff_robustness(self, oscillator_tm):
         # delta-function reduction: any cutoff above the line gives one value

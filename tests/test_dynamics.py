@@ -349,8 +349,10 @@ class TestStepLoop:
             assert alone[3] == [fails[row]]
         _assert_records(fast, _oracle_alone(*args, t0=t0), t0, dt, exact=exact)
 
+    # a subnormal amp has fewer than 53 significant bits: no reordered
+    # computation, such as the banded solve, can meet rtol 1e-10 there
     @given(case=st.sampled_from(["escape", "diverge", "band"]), data=st.data(),
-           amp=st.floats(0.0, 0.1), t0=st.floats(0.0, 100.0),
+           amp=st.floats(0.0, 0.1, allow_subnormal=False), t0=st.floats(0.0, 100.0),
            stride=st.sampled_from([1, 7]))
     @settings(max_examples=30, deadline=None)
     def test_records_match_the_oracle_member_by_member(self, case, data, amp, t0,

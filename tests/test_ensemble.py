@@ -161,11 +161,18 @@ class TestMomentsAgainstOracle:
         assert oracle["H"] == pytest.approx(0.830955, abs=2e-6)
         assert oracle["dxdp"] == pytest.approx(0.765593, abs=2e-6)
 
-    def test_window_validation(self, ref_ensemble_report):
-        with pytest.raises(sl.ConfigurationError):
-            sl.stationary_moments(ref_ensemble_report, window=(0.0, 2000.0))
-        with pytest.raises(sl.StatisticsError):
-            sl.stationary_moments(ref_ensemble_report, window=(500.0, 1100.0))
+    @pytest.mark.parametrize("estimator", [
+        sl.stationary_moments, sl.measure_balance, sl.power_spectrum,
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("window, error", [
+        ((0.0, 2000.0), sl.ConfigurationError),
+        ((500.0, 2500.0), sl.ConfigurationError),
+        ((1500.0, 1500.0), sl.ConfigurationError),
+        ((500.0, 1100.0), sl.StatisticsError),  # shorter than 20 correlation times
+    ], ids=["before-burn-in", "past-span", "empty", "too-short"])
+    def test_window_validation(self, ref_ensemble_report, estimator, window, error):
+        with pytest.raises(error):
+            estimator(ref_ensemble_report, window=window)
 
     def test_tau_to_zero_refused(self):
         # correlation time diverges as tau -> 0: no window long enough
