@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +182,8 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
 
     scales = econf.scales
     if econf.force.kind == "harmonic":
-        tm = oscillator_matrices(scales, 8)
+        # the force's own frequency, which need not be scales.omega0
+        tm = oscillator_matrices(replace(scales, omega0=econf.force.curvature_frequency(scales.m)), 8)
     else:
         tm = diagonalize_potential(scales, econf.force, body.get("basis_size", BASIS_SIZE))
     state = body.get("state", 0)

@@ -33,6 +33,7 @@ hierarchy_terms raise their one member's record through _raise.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,53 +126,57 @@ def _validate_stride(store_stride: int):
         raise ConfigurationError(f"store_stride must be >= 1, got {store_stride}")
 
 
-def rk4_core(
-    scales: PhysicalScales,
-    force: ForceModel,
-    drive_half: np.ndarray,
-    x0: np.ndarray,
-    p0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    store_stride: int = 1,
-):
+_last = threading.local()  # rk4_core's last integrator in each thread, and its key
+
+
+def rk4_core(scales: PhysicalScales, force: ForceModel, drive_half, x0: np.ndarray,
+             p0: np.ndarray, dt: float, n_steps: int, store_stride: int = 1, out=None):
     """Classical RK4 over a batch of trajectories sharing (force, dt).
 
-    drive_half has shape (batch, 2*n_steps+1).  Returns (xs, ps, es, fails):
-    decimated x, p and drive arrays of shape (batch, n_steps//store_stride
-    + 1), and each member's first failure (step, kind, |x|) or None.  Kind
-    0 is an escape of |x| beyond the force model's bound, checked every
-    step; kind 1 a non-finite state.  Nothing is raised: every member runs
-    to its own first failure, and a failed member's rows of x, p and drive
-    are NaN.  Members are independent: a member's rows and record do not
-    depend on the rest of its batch.
+    drive_half yields the members' drives, 1-D arrays of 2*n_steps+1
+    half-step samples (a 2-D array yields its rows), read one at a time.
+    The decimated x, p and drive fill the planes of `out` (fresh ones if
+    None), of shape (batch, n_steps//store_stride + 1).  Returns (xs, ps,
+    es, fails), fails holding each member's first failure (step, kind, |x|)
+    or None: kind 0 an escape of |x| beyond the force model's bound, checked
+    every step, kind 1 a non-finite state.  Nothing is raised: every member
+    runs to its own first failure, and a failed member's rows are NaN.
+    Members are independent: a member's rows and record do not depend on
+    the rest of its batch.
 
-    A linear force makes the RK4 step an affine map of the state, and every
-    linear force runs as one banded solve of that recurrence (_rk4_affine);
-    every other force steps in a loop (_rk4_loop), which checks finiteness
-    every _CHECK_EVERY steps.
+    A linear force makes the RK4 step an affine map of the state, solved as
+    one banded system (_rk4_affine); every other force steps in a loop
+    (_rk4_loop) that checks finiteness every _CHECK_EVERY steps.  Each
+    thread keeps the last one set up, with the banded solve's buffers (7
+    drives' bytes), until a call with other arguments: a caller may pass
+    one member per call, while the setup costs 2/3 of one member's solve.
     """
     _validate_stride(store_stride)
-    if np.shape(drive_half) != (len(x0), 2 * n_steps + 1):
-        raise ConfigurationError(
-            f"drive_half must have shape (batch, 2*n_steps+1) = "
-            f"({len(x0)}, {2 * n_steps + 1}), got {np.shape(drive_half)}"
-        )
     n_out = n_steps // store_stride + 1
-    xs = np.empty((len(x0), n_out))
-    ps = np.empty((len(x0), n_out))
-    xs[:, 0], ps[:, 0] = x0, p0
-    es = drive_half[:, 0 : 2 * store_stride * n_out : 2 * store_stride].copy()
-    integrate = _rk4_affine if force.is_linear() else _rk4_loop
-    fails = integrate(scales, force, drive_half, dt, n_steps, store_stride, xs, ps)
-    for row, fail in enumerate(fails):
-        if fail is not None:
+    xs, ps, es = np.empty((3, len(x0), n_out)) if out is None else out
+    key = (scales, force, dt, n_steps, store_stride)
+    if getattr(_last, "key", None) != key:
+        _last.run = (_rk4_affine if force.is_linear() else _rk4_loop)(*key)
+        _last.key = key
+    integrate = _last.run
+    need = f"drive_half must yield len(x0) = {len(x0)} drives of {2 * n_steps + 1} samples"
+    fails = []
+    for row, e in enumerate(drive_half):
+        e = np.ascontiguousarray(e, dtype=np.float64)
+        if row == len(x0) or e.shape != (2 * n_steps + 1,):
+            raise ConfigurationError(f"{need}; drive {row} has shape {e.shape}")
+        xs[row, 0], ps[row, 0] = x0[row], p0[row]
+        es[row] = e[0 : 2 * store_stride * n_out : 2 * store_stride]
+        fails.append(integrate(e, xs[row], ps[row]))
+        if fails[-1] is not None:
             xs[row] = ps[row] = es[row] = np.nan
+    if len(fails) < len(x0):
+        raise ConfigurationError(f"{need}; got {len(fails)}")
     return xs, ps, es, fails
 
 
 def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
-              p: float, e: list, n_steps: int, store_stride: int):
+              p: float, e, n_steps: int, store_stride: int):
     """Classical RK4 of the order-reduced equation for one member, on floats.
 
     e holds the member's drive on the half-step grid, so step j uses
@@ -242,21 +247,23 @@ def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
     return xs, ps, None
 
 
-def _rk4_loop(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
+def _rk4_loop(scales, force, dt, n_steps, store_stride):
     """rk4_core's integration as an explicit step loop, for any force.
 
-    Members step one at a time (_rk4_lane) from xs[:, 0], ps[:, 0], each to
-    its own first failure, and fill their rows of xs and ps.  Returns the
-    members' failure records; a failed member's rows are left unset.
+    Returns run(e, xs, ps), which steps one member (_rk4_lane) from xs[0],
+    ps[0] over its drive e, read as Python floats through a memoryview, to
+    its first failure; fills xs and ps unless it fails; and returns the
+    failure record.
     """
-    fails = []
-    for row, (x, p) in enumerate(zip(xs[:, 0].tolist(), ps[:, 0].tolist())):
+    def run(e, xs, ps):
         xr, pr, fail = _rk4_lane(force, scales.m, scales.tau, dt, force.escape_bound,
-                                 x, p, drive_half[row].tolist(), n_steps, store_stride)
-        fails.append(fail)
+                                 float(xs[0]), float(ps[0]), memoryview(e), n_steps,
+                                 store_stride)
         if fail is None:
-            xs[row], ps[row] = xr, pr
-    return fails
+            xs[:], ps[:] = xr, pr
+        return fail
+
+    return run
 
 
 def _raise(fail, bound, dt: float):
@@ -273,10 +280,9 @@ def _raise(fail, bound, dt: float):
     raise IntegrationDivergedError(f"non-finite state near t = {t_fail:g}", t_fail=t_fail)
 
 
-def _rk4_affine(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
+def _rk4_affine(scales, force, dt, n_steps, store_stride):
     """rk4_core's integration for a linear force, as one banded solve of the
-    RK4 recurrence; fills xs and ps and returns the failure records as
-    _rk4_loop does.
+    RK4 recurrence per member; returns run(e, xs, ps) as _rk4_loop does.
 
     With f linear, one step is s[j] = M s[j-1] + B u[j] + c for s = (x, p)
     and u[j] = (e0, e1/2, e1) of step j.  M, B and c are read off one
@@ -284,7 +290,7 @@ def _rk4_affine(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
     the loop, with rounding in another order.  With the states interleaved
     as (x1, p1, x2, p2, ...), s[j] - M s[j-1] = B u[j] + c is a real unit
     lower-triangular system with three subdiagonals, solved in place by
-    BLAS dtbsv, one member at a time.
+    BLAS dtbsv; the probes, band and buffers serve every member it runs.
     """
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
     # probe is the zero state, whose image is c.  A probe step that is not
@@ -309,17 +315,17 @@ def _rk4_affine(scales, force, drive_half, dt, n_steps, store_stride, xs, ps):
     inputs[:, 3] = 1.0
     state = np.empty((n_steps, 2))  # (x, p) after steps 1..n_steps
     bound = force.escape_bound
-    fails = []
-    for row in range(len(xs)):
-        e = drive_half[row]
+
+    def run(e, xs, ps):
         inputs[:, 0], inputs[:, 1], inputs[:, 2] = e[0:-1:2], e[1::2], e[2::2]
         np.matmul(inputs, weights, out=state)
-        state[0] += step_map @ (xs[row, 0], ps[row, 0])
+        state[0] += step_map @ (xs[0], ps[0])
         dtbsv(3, band, state.reshape(-1), lower=1, diag=1, overwrite_x=1)
-        fails.append(_first_failure(state, bound))
-        xs[row, 1:] = state[store_stride - 1 :: store_stride, 0]
-        ps[row, 1:] = state[store_stride - 1 :: store_stride, 1]
-    return fails
+        xs[1:] = state[store_stride - 1 :: store_stride, 0]
+        ps[1:] = state[store_stride - 1 :: store_stride, 1]
+        return _first_failure(state, bound)
+
+    return run
 
 
 def _first_failure(state, bound):
@@ -363,11 +369,8 @@ def integrate_trajectory(
     _validate_step(scales, force, dt, omega_cut)
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
-    drive = synthesize_drive(realization, dt, n_steps)
-    xs, ps, es, (fail,) = rk4_core(
-        scales, force, drive[None, :], np.array([x0]), np.array([p0]),
-        dt, n_steps, store_stride,
-    )
+    xs, ps, es, (fail,) = rk4_core(scales, force, [synthesize_drive(realization, dt, n_steps)],
+                                   [x0], [p0], dt, n_steps, store_stride)
     _raise(fail, force.escape_bound, dt)
     return Trajectory(dt=dt * store_stride, x=xs[0], p=ps[0], drive=es[0])
 
@@ -505,7 +508,7 @@ def hierarchy_terms(
     drive = synthesize_drive(realization, dt, n_steps)
     start = (float(x0), float(p0), 0.0, 0.0, 0.0, 0.0)
     rows, fail = _hierarchy_lane(force, scales.m, scales.tau, dt, force.escape_bound, start,
-                                 drive.tolist(), n_steps, store_stride)
+                                 memoryview(drive), n_steps, store_stride)
     _raise(fail, force.escape_bound, dt)
     out = np.array(rows).T
     t = dt * store_stride * np.arange(out.shape[1])
@@ -518,7 +521,7 @@ def hierarchy_terms(
 
 
 def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, bound,
-                    state: tuple, e: list, n_steps: int, store_stride: int):
+                    state: tuple, e, n_steps: int, store_stride: int):
     """hierarchy_terms' classical RK4 over (x0, p0, x1, p1, x2, p2), on floats.
 
     e holds the drive on the half-step grid, as for _rk4_lane.  Returns

@@ -4,10 +4,10 @@ Trajectory i draws its field phases from seed splitmix64(master_seed XOR i)
 (pairs share a seed under common-noise pairing).  Members are independent
 lanes, so a nonlinear force splits them once across forked worker
 processes (sedlab.pool); a linear force runs in this process, where its
-banded solve is faster than the cost of a pool.  Each process integrates
-its members in chunks whose drive fits DRIVE_BUDGET.  Every reduction runs
-in index order after the workers finish -- reports are bit-identical for
-any worker count.
+banded solve is faster than the cost of a pool.  Each process synthesizes
+each member's drive just before integrating it, so it holds at most two:
+the one it integrates and the next.  Every reduction runs in index order
+after the workers finish -- reports are bit-identical for any worker count.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -52,9 +52,6 @@ __all__ = [
 # hard limit on a report's x, p and drive planes, about 200 times the 86 MB
 # of the 200-member reference ensemble
 MAX_REPORT_BYTES = 16 * 2**30
-# drive held at once by one process: its members are integrated in chunks
-# of as many members as fit, at least one
-DRIVE_BUDGET = 24 * 2**20
 # shortest stationary window, in correlation times of the squared-amplitude
 # observables
 MIN_CORR_TIMES = 20.0
@@ -195,30 +192,26 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
                  members: range) -> list:
     """Integrate the ensemble members in `members`, a range of indices.
 
-    Works in chunks of as many members as DRIVE_BUDGET holds the drive of,
-    at least one, and writes their decimated x, p and drive into the rows
-    `members` of out[0], out[1] and out[2].  A member that escapes or
-    diverges gets NaN rows and is listed in the returned `diverged` as
-    (member, t_fail).
+    Member by member, synthesizes the drive and lets rk4_core write the
+    decimated x, p and drive into the member's rows of out[0], out[1] and
+    out[2], so at most two drives are held, the one being integrated and
+    the next.  rk4_core sets up its integrator once for all of them, and
+    synthesis and integration stay separate calls, each profiled alone.  A
+    member that escapes or diverges gets NaN rows and is listed in the
+    returned `diverged` as (member, t_fail).
     """
     n_steps = _n_steps(config.t_span, config.dt)
-    width = max(1, DRIVE_BUDGET // (8 * (2 * n_steps + 1)))
     diverged = []
-    for lo in range(0, len(members), width):
-        chunk = members[lo : lo + width]
-        drive = np.empty((len(chunk), 2 * n_steps + 1))
-        x0, p0 = np.empty((2, len(chunk)))
-        for row, member in enumerate(chunk):
-            realization = sample_realization(mode_set, _member_seed(config, member))
-            drive[row] = synthesize_drive(realization, config.dt, n_steps)
-            x0[row], p0[row] = _member_ic(config, member)
-        *series, fails = rk4_core(config.scales, config.force, drive, x0, p0, config.dt,
-                                  n_steps, config.decimate_stride)
-        del drive  # the largest array of a chunk: not resident while out fills
-        for plane, rows in zip(out, series):
-            plane[chunk.start : chunk.stop] = rows
-        diverged += [(member, fail[0] * config.dt)
-                     for member, fail in zip(chunk, fails) if fail is not None]
+    for member in members:
+        # a drive is freed once the next is synthesized: freed first, it would
+        # be faulted back in for every member (3x the page faults on 80 members)
+        drive = synthesize_drive(sample_realization(mode_set, _member_seed(config, member)),
+                                 config.dt, n_steps)
+        x0, p0 = _member_ic(config, member)
+        *_, (fail,) = rk4_core(config.scales, config.force, [drive], [x0], [p0], config.dt,
+                               n_steps, config.decimate_stride, out[:, member : member + 1])
+        if fail is not None:
+            diverged.append((member, fail[0] * config.dt))
     return diverged
 
 
@@ -241,12 +234,12 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     for `pool.fork_map`: this process integrates the first and forked
     worker processes the others, writing into shared memory.  A linear
     force runs as a single part, in this process, as does any run on one
-    CPU or without fork.  Each process holds at most DRIVE_BUDGET bytes of
-    drive at a time, or one member's drive if that is larger.  No worker
-    outlives the call.  Diverged members are excluded and counted; more
-    than 1% divergence fails the run.  A drive step dt/2 off the field's
-    comb, or a comb period past MAX_COMB_PERIOD, is refused before the
-    report is allocated.
+    CPU or without fork.  Each process fills its rows of the report one
+    member at a time and holds at most two members' drives (_run_members).
+    No worker outlives the call.  Diverged members are excluded and
+    counted; more than 1% divergence fails the run.  A drive step dt/2 off
+    the field's comb, or a comb period past MAX_COMB_PERIOD, is refused
+    before the report is allocated.
     """
     n_mem = config.n_members
     n_steps = _n_steps(config.t_span, config.dt)
@@ -390,13 +383,11 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
     else:
         expected = None
     # peaks of |Delta|, skipping the first quarter period
-    interior = (delta[1:-1] > delta[:-2]) & (delta[1:-1] >= delta[2:])
-    idx = np.where(interior)[0] + 1
-    idx = idx[(t[idx] > 0.5 * np.pi / cfg.scales.omega0) & (delta[idx] > 0)]
-    if idx.size < 4 or delta.max() < 1e-12:
+    fit = _peak_fit(t, delta, t > 0.5 * np.pi / cfg.scales.omega0)
+    if fit is None or delta.max() < 1e-12:
         return MemoryLossResult(t=t, delta=delta, fitted_rate=0.0,
                                 fitted_amplitude=0.0, expected_rate=expected)
-    slope, intercept = np.polyfit(t[idx], np.log(delta[idx]), 1)
+    slope, intercept = fit
     return MemoryLossResult(t=t, delta=delta, fitted_rate=float(-slope),
                             fitted_amplitude=float(np.exp(intercept)),
                             expected_rate=expected)
@@ -506,11 +497,18 @@ def _envelope_rate(x: np.ndarray, dts: float, cfg: EnsembleConfig) -> float:
     omega0 = cfg.scales.omega0
     u_lo = 2 * np.pi / omega0
     u_hi = min(4.0 * cfg.energy_decay_time, 0.8 * u[-1])
-    absac = np.abs(ac)
-    interior = (absac[1:-1] > absac[:-2]) & (absac[1:-1] >= absac[2:])
-    idx = np.where(interior)[0] + 1
-    idx = idx[(u[idx] >= u_lo) & (u[idx] <= u_hi) & (absac[idx] > 0)]
-    if idx.size < 4:
+    fit = _peak_fit(u, ac, (u >= u_lo) & (u <= u_hi))
+    if fit is None:
         raise StatisticsError("window too short to fit the autocorrelation envelope")
-    slope, _ = np.polyfit(u[idx], np.log(absac[idx]), 1)
-    return float(-slope)
+    return float(-fit[0])
+
+
+def _peak_fit(t: np.ndarray, y: np.ndarray, inside: np.ndarray):
+    """Line (slope, intercept) fitted to log|y| over the interior maxima of
+    |y| > 0 where `inside` holds; None for fewer than four."""
+    y = np.abs(y)
+    idx = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1
+    idx = idx[inside[idx] & (y[idx] > 0)]
+    if idx.size < 4:
+        return None
+    return np.polyfit(t[idx], np.log(y[idx]), 1)

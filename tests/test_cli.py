@@ -355,6 +355,22 @@ class TestSpectrumAndBalance:
         assert lines[0] == "quantity,measured,stderr,predicted"
         assert len(lines) == 6
 
+    def test_balance_predicts_at_the_force_frequency(self, tmp_path):
+        # force.omega0 is its own key: the oscillator prediction takes the
+        # frequency the member integrates, omega = 1.25, not scales.omega0
+        omega, tau = 1.25, SCALES["tau"]
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force=dict(FORCE, omega0=omega), field=FIELD,
+            ensemble=small_ensemble_section(),
+        )
+        out = tmp_path / "out"
+        assert cli.main(["balance", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "balance.json").read_text())
+        assert doc["predictions"]["a_coefficient"] == pytest.approx(tau * omega**2, rel=1e-12)
+        assert doc["predictions"]["trace_dpp"] == pytest.approx(tau * omega**3 / 2, rel=1e-9)
+        assert abs(doc["spectrum"]["peak_omega"] - omega) < 0.05
+
     def test_balance_partial_step_span_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

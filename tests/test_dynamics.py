@@ -403,12 +403,13 @@ class TestStepLoop:
 class TestStepGridValidation:
     @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
                              ids=["harmonic", "quartic"])
-    @pytest.mark.parametrize("shape", [(1, 10), (1, 12), (2, 11)],
-                             ids=["short", "long", "rows"])
-    def test_drive_shape_mismatch_rejected(self, force, shape):
+    @pytest.mark.parametrize("shape, members", [((1, 10), 1), ((1, 12), 1), ((2, 11), 1),
+                                                ((1, 11), 2)],
+                             ids=["short", "long", "rows", "fewer-drives"])
+    def test_drive_shape_mismatch_rejected(self, force, shape, members):
         with pytest.raises(sl.ConfigurationError, match="drive_half"):
-            dynamics.rk4_core(sl.REF, force, np.zeros(shape), np.ones(1), np.zeros(1),
-                              0.01, 5)
+            dynamics.rk4_core(sl.REF, force, np.zeros(shape), np.ones(members),
+                              np.zeros(members), 0.01, 5)
 
     def test_store_stride_below_one_rejected(self):
         r = _ref_realization(10.0)

@@ -58,34 +58,67 @@ class TestRunEnsemble:
         # a nonlinear force: a linear one runs in-process for any CPU count
         cfg = small_config(force=sl.quartic(1.0, 0.1), n_traj=10)
         pin_cpus(1)
-        a = sl.run_ensemble(cfg)
-        pin_cpus(4)
-        b = sl.run_ensemble(cfg)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.p, b.p)
-        for name in a.moments:
-            assert np.array_equal(a.moments[name][0], b.moments[name][0])
+        ref = sl.run_ensemble(cfg)
+        for workers in (1, 2, 4):
+            pin_cpus(workers)
+            rep = sl.run_ensemble(cfg)
+            for series in ("x", "p", "drive"):
+                assert np.array_equal(getattr(rep, series), getattr(ref, series))
+            assert rep.diverged == ref.diverged == []
+            for name in ref.moments:
+                for ours, theirs in zip(rep.moments[name], ref.moments[name]):
+                    assert np.array_equal(ours, theirs)
 
     @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
                              ids=["harmonic", "quartic"])
-    def test_chunking_invariance(self, monkeypatch, pin_cpus, force):
-        # lanes are independent: the report depends neither on how many
-        # members' drive the budget holds nor on the worker count
-        cfg = small_config(force=force)
-        member_bytes = 8 * (2 * ensemble._n_steps(cfg.t_span, cfg.dt) + 1)
+    def test_chunking_invariance(self, pin_cpus, force):
+        # a member's rows do not depend on the members run with it: the
+        # first three of seven equal a run of three, whose integrator is
+        # built afresh after a run of another length, and which a quartic
+        # force on two CPUs splits as 2 + 1 members per process, not 4 + 3
+        pin_cpus(2)
+        full = sl.run_ensemble(small_config(force=force, n_traj=7))
+        sl.run_ensemble(small_config(force=force, n_traj=2, t_span=100.0))
+        part = sl.run_ensemble(small_config(force=force, n_traj=3))
+        for series in ("x", "p", "drive"):
+            assert np.array_equal(getattr(part, series), getattr(full, series)[:3])
+        assert part.diverged == full.diverged == []
+
+    def test_drives_resident_do_not_grow_with_members(self, monkeypatch, pin_cpus):
+        # traced memory up to the end of the integration, over the report's
+        # planes, in one member's drive bytes: the banded solve's band,
+        # inputs and state take 7 (none if an earlier run of the same length
+        # left them set up); the drive being integrated and the next one,
+        # which is synthesized before the first is freed, 2 each (the
+        # synthesized drive views two field periods); the spectrum and
+        # period buffer of the synthesis 2.  Measured 13.3 in all; 16 leaves
+        # room, while a run that holds all 32 members' drives at once
+        # measured 46.2
+        import tracemalloc
+
+        cfg = small_config(n_traj=32)
+        n_steps = ensemble._n_steps(cfg.t_span, cfg.dt)
+        drive_bytes = 8 * (2 * n_steps + 1)
+        report_bytes = 8 * 3 * cfg.n_members * (n_steps // cfg.decimate_stride + 1)
+        peaks = []
+        rk4_core = ensemble.rk4_core
+
+        def traced(*args, **kwargs):
+            result = rk4_core(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return result
+
+        monkeypatch.setattr(ensemble, "rk4_core", traced)
         pin_cpus(1)
-        ref = sl.run_ensemble(cfg)
-        for members in (1, 3, cfg.n_members):
-            monkeypatch.setattr(ensemble, "DRIVE_BUDGET", members * member_bytes)
-            for workers in (1, 2, 4):
-                pin_cpus(workers)
-                rep = sl.run_ensemble(cfg)
-                for series in ("x", "p", "drive"):
-                    assert np.array_equal(getattr(rep, series), getattr(ref, series))
-                assert rep.diverged == ref.diverged == []
-                for name in ref.moments:
-                    for ours, theirs in zip(rep.moments[name], ref.moments[name]):
-                        assert np.array_equal(ours, theirs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sl.run_ensemble(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == cfg.n_members
+        assert peaks[-1] - base < report_bytes + 16 * drive_bytes, (
+            (peaks[-1] - base - report_bytes) / drive_bytes)
 
     def test_paired_members_share_field(self):
         cfg = small_config(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=3)

@@ -1,11 +1,10 @@
 """The nonlinear-force ensemble across forked worker processes.
 
 A nonlinear force splits its members once across worker processes, each of
-which integrates its share in chunks that fit the drive budget; the report
-must depend neither on the worker count nor on the budget, a failed member must come
-back as a NaN row plus its `diverged` entry, and an error raised in a
-worker must reach the caller unchanged.  The conftest fixture checks that
-no worker outlives a test.
+which integrates its share member by member; the report must not depend on
+the worker count, a failed member must come back as a NaN row plus its
+`diverged` entry, and an error raised in a worker must reach the caller
+unchanged.  The conftest fixture checks that no worker outlives a test.
 """
 
 import os
@@ -36,19 +35,12 @@ def _quartic_config():
     )
 
 
-# drive budget in members: a budget below one member's drive runs every
-# member alone
-@pytest.mark.parametrize("members", [0, 3, 5, 7],
-                         ids=["chunks-1", "chunks-3-3-1", "chunks-5-2", "chunk-7"])
-def test_quartic_bit_identical_for_any_worker_count(monkeypatch, pin_cpus, members):
-    # 7 members split over 2 workers (4 + 3) or 4 (2 + 2 + 2 + 1), each
-    # share in chunks of the budget's width
+def test_quartic_bit_identical_for_any_worker_count(pin_cpus):
+    # 7 members split over 2 workers (4 + 3) or 4 (2 + 2 + 2 + 1)
     cfg = _quartic_config()
     every_cpu = pool.cpu_count()
     pin_cpus(1)
     ref = sl.run_ensemble(cfg)
-    member_bytes = 8 * (2 * ensemble._n_steps(cfg.t_span, cfg.dt) + 1)
-    monkeypatch.setattr(ensemble, "DRIVE_BUDGET", max(1, members * member_bytes))
     for workers in (1, 2, 4, every_cpu):
         pin_cpus(workers)
         _same(ref, sl.run_ensemble(cfg))
