@@ -11,9 +11,9 @@ writing machine-readable reports plus a manifest.  Exit codes are stable API:
     5  internal error
 
 The one environment override is SEDLAB_OUT (default output directory).
-Nonlinear forces and `correlate`'s realizations run on up to one process
-per CPU the command may use (limit them with taskset), linear forces
-in-process; reports are bit-identical for any worker count.
+Ensemble members and `correlate`'s realizations run on up to one process
+per CPU the command may use (limit them with taskset); reports are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 Trajectory i draws its field phases from seed splitmix64(master_seed XOR i)
 (pairs share a seed under common-noise pairing).  Members are independent
-lanes, so a nonlinear force splits them once across forked worker
-processes (sedlab.pool); a linear force runs in this process, where its
-banded solve is faster than the cost of a pool.  Each process synthesizes
-each member's drive just before integrating it, so it holds at most two:
-the one it integrates and the next.  Every reduction runs in index order
-after the workers finish -- reports are bit-identical for any worker count.
+lanes, so for every force they are split once across forked worker
+processes (sedlab.pool).  Each process synthesizes each member's drive just
+before integrating it, once per pair under common-noise pairing, so it holds
+at most two: the one it integrates and the next.  Every reduction runs in
+index order after the workers finish -- reports are bit-identical for any
+worker count.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -165,7 +165,7 @@ class EnsembleReport:
             "n_diverged": len(self.diverged),
             "t_first": float(self.t[0]),
             "t_last": float(self.t[-1]),
-            "decimate_dt": float(self.t[1] - self.t[0]),
+            "decimate_dt": float(self.config.dt * self.config.decimate_stride),
         }
 
 
@@ -192,21 +192,25 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
                  members: range) -> list:
     """Integrate the ensemble members in `members`, a range of indices.
 
-    Member by member, synthesizes the drive and lets rk4_core write the
-    decimated x, p and drive into the member's rows of out[0], out[1] and
-    out[2], so at most two drives are held, the one being integrated and
-    the next.  rk4_core sets up its integrator once for all of them, and
-    synthesis and integration stay separate calls, each profiled alone.  A
-    member that escapes or diverges gets NaN rows and is listed in the
-    returned `diverged` as (member, t_fail).
+    Member by member, synthesizes the drive (the second of a common-noise
+    pair reuses the first's) and lets rk4_core write the decimated x, p and
+    drive into the member's rows of out[0], out[1] and out[2], so at most
+    two drives are held, the one being integrated and the next.  rk4_core
+    sets up its integrator once for all of them, and synthesis and
+    integration stay separate calls, each profiled alone.  A member that
+    escapes or diverges gets NaN rows and is listed in the returned
+    `diverged` as (member, t_fail).
     """
     n_steps = _n_steps(config.t_span, config.dt)
     diverged = []
+    last_seed = None
     for member in members:
-        # a drive is freed once the next is synthesized: freed first, it would
-        # be faulted back in for every member (3x the page faults on 80 members)
-        drive = synthesize_drive(sample_realization(mode_set, _member_seed(config, member)),
-                                 config.dt, n_steps)
+        seed = _member_seed(config, member)
+        if seed != last_seed:
+            last_seed = seed
+            # the last drive is freed once this one exists: freed first, it would
+            # be faulted back in for every member (3x the page faults on 80 members)
+            drive = synthesize_drive(sample_realization(mode_set, seed), config.dt, n_steps)
         x0, p0 = _member_ic(config, member)
         *_, (fail,) = rk4_core(config.scales, config.force, [drive], [x0], [p0], config.dt,
                                n_steps, config.decimate_stride, out[:, member : member + 1])
@@ -228,14 +232,13 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     """Run the configured ensemble; bit-identical for any CPU count.
 
     Every member writes its own rows, so the report depends only on
-    (config, master_seed).  A nonlinear force splits the members once into
-    one contiguous sub-range per CPU this process may run on
-    (`pool.cpu_count()`, which `taskset` limits), at most one per member,
-    for `pool.fork_map`: this process integrates the first and forked
-    worker processes the others, writing into shared memory.  A linear
-    force runs as a single part, in this process, as does any run on one
-    CPU or without fork.  Each process fills its rows of the report one
-    member at a time and holds at most two members' drives (_run_members).
+    (config, master_seed).  The members are split once into one contiguous
+    sub-range per CPU this process may run on (`pool.cpu_count()`, which
+    `taskset` limits), at most one per member, for `pool.fork_map`: this
+    process integrates the first and forked worker processes the others,
+    writing into shared memory.  A run on one CPU or without fork stays in
+    this process.  Each process fills its rows of the report one member at
+    a time and holds at most two members' drives (_run_members).
     No worker outlives the call.  Diverged members are excluded and
     counted; more than 1% divergence fails the run.  A drive step dt/2 off
     the field's comb, or a comb period past MAX_COMB_PERIOD, is refused
@@ -255,10 +258,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     # every member's drive grid meets this check: refuse it before anything runs
     _comb_period(mode_set, 0.5 * config.dt, "drive step dt/2")
     t = config.dt * stride * np.arange(shape[2])
-    if config.force.is_linear():
-        parts = [range(n_mem)]
-    else:
-        parts = pool.split(range(n_mem), min(pool.cpu_count(), n_mem))
+    parts = pool.split(range(n_mem), min(pool.cpu_count(), n_mem))
     # forked workers write their rows into shared memory
     out = _shared_empty(shape) if len(parts) > 1 else np.empty(shape)
     diverged = sum(pool.fork_map(_run_members, (config, mode_set, out), parts), [])

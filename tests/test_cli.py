@@ -236,6 +236,19 @@ class TestEnsembleCommand:
         assert moments[0].startswith("t,x_mean,x_se")
         assert (out / "diffusion.csv").exists()
 
+    def test_span_shorter_than_one_stride_runs(self, tmp_path):
+        # stride 10 at dt = 0.01: a span of 0.05 stores only the t = 0 sample
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force=FORCE, field=FIELD,
+            ensemble=small_ensemble_section(t_span=0.05, dt=0.01, burn_in=0.0),
+        )
+        out = tmp_path / "out"
+        assert cli.main(["ensemble", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "ensemble_report.json").read_text())
+        assert report["decimate_dt"] == 0.1
+        assert (out / "manifest.json").exists()
+
     def test_zero_trajectories_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

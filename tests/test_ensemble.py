@@ -54,9 +54,15 @@ class TestRunEnsemble:
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.drive, b.drive)
 
-    def test_bit_identical_across_worker_counts(self, pin_cpus):
-        # a nonlinear force: a linear one runs in-process for any CPU count
-        cfg = small_config(force=sl.quartic(1.0, 0.1), n_traj=10)
+    @pytest.mark.parametrize("overrides", [
+        dict(n_traj=10),
+        dict(force=sl.quartic(1.0, 0.1), n_traj=10),
+        # 10 members at 4 workers split 2 + 3 + 2 + 3: the third part
+        # starts between the two members of a pair
+        dict(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=5),
+    ], ids=["harmonic", "quartic", "harmonic-paired"])
+    def test_bit_identical_across_worker_counts(self, pin_cpus, overrides):
+        cfg = small_config(**overrides)
         pin_cpus(1)
         ref = sl.run_ensemble(cfg)
         for workers in (1, 2, 4):
@@ -71,11 +77,11 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
                              ids=["harmonic", "quartic"])
-    def test_chunking_invariance(self, pin_cpus, force):
+    def test_member_rows_independent_of_other_members(self, pin_cpus, force):
         # a member's rows do not depend on the members run with it: the
         # first three of seven equal a run of three, whose integrator is
-        # built afresh after a run of another length, and which a quartic
-        # force on two CPUs splits as 2 + 1 members per process, not 4 + 3
+        # built afresh after a run of another length, and which two CPUs
+        # split as 2 + 1 members per process, not 4 + 3
         pin_cpus(2)
         full = sl.run_ensemble(small_config(force=force, n_traj=7))
         sl.run_ensemble(small_config(force=force, n_traj=2, t_span=100.0))
@@ -128,6 +134,20 @@ class TestRunEnsemble:
         assert np.array_equal(rep.drive[2], rep.drive[3])
         assert not np.array_equal(rep.drive[0], rep.drive[2])
         assert rep.x[0, 0] == 1.0 and rep.x[1, 0] == -1.0
+
+    def test_paired_members_synthesize_one_drive_per_pair(self, monkeypatch, pin_cpus):
+        calls = []
+        synthesize_drive = ensemble.synthesize_drive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return synthesize_drive(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "synthesize_drive", counted)
+        pin_cpus(1)
+        rep = sl.run_ensemble(small_config(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=3))
+        assert rep.n_members == 6
+        assert len(calls) == 3
 
     def test_divergent_member_fraction_guard(self):
         # an anti-confining force diverges every member -> run fails

@@ -1,14 +1,13 @@
-"""The nonlinear-force ensemble across forked worker processes.
+"""The ensemble across forked worker processes.
 
-A nonlinear force splits its members once across worker processes, each of
-which integrates its share member by member; the report must not depend on
+An ensemble splits its members once across worker processes, each of which
+integrates its share member by member; the report must not depend on
 the worker count, a failed member must come back as a NaN row plus its
 `diverged` entry, and an error raised in a worker must reach the caller
 unchanged.  The conftest fixture checks that no worker outlives a test.
 """
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,17 +122,6 @@ def test_error_in_a_worker_reaches_the_caller(monkeypatch, pin_cpus):
         sl.run_ensemble(_quartic_config())
     assert (exc.value.t_fail, exc.value.x) == (3.5, 9.25)
     assert str(exc.value).startswith("escape in process")
-
-
-def test_linear_force_never_starts_a_pool(monkeypatch, pin_cpus):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a linear force must run in-process")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    pin_cpus(4)
-    sl.run_ensemble(replace(_quartic_config(), force=sl.harmonic(1.0)))
 
 
 def test_without_fork_the_run_stays_in_process(monkeypatch, pin_cpus):
