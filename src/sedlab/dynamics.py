@@ -24,6 +24,12 @@ loop to rounding (about 1e-12 relative).  The variational hierarchy
 (hierarchy_terms) steps its six variables on Python floats the same way,
 bit-identical to a numpy loop of the same expressions.
 
+Both step loops are emitted by one function (_emit_loop) as straight-line
+Python and compiled once per integrator setup: the RK4 skeleton, the
+failure checks and the stores are written once, each loop supplies its
+state names and slope lines, and Horner's rule is unrolled over the
+force's coefficients, which the compiled loop holds as values.
+
 Every path reports a failure per member, as a record (step, kind, |x|) or
 None: kind 0 an escape beyond the force's bound, kind 1 a non-finite
 state.  Nothing folds a batch's records into one; integrate_trajectory and
@@ -175,76 +181,95 @@ def rk4_core(scales: PhysicalScales, force: ForceModel, drive_half, x0: np.ndarr
     return xs, ps, es, fails
 
 
-def _rk4_lane(fm: ForceModel, m: float, tau: float, dt: float, bound, x: float,
-              p: float, e, n_steps: int, store_stride: int):
-    """Classical RK4 of the order-reduced equation for one member, on floats.
+_LOOP = """\
+def loop(start, e, n_steps, store_stride, *, {consts}):
+    {state}, = start
+    rows = list(start)
+    odd, even = iter(e[1::2]), iter(e[2::2])
+    e0 = e[0]
+    j = 0
+    while j < n_steps:
+        for j, e1, e2 in zip(range(j + 1, min(j + check, n_steps) + 1), odd, even):
+{body}
+            if j % store_stride == 0:
+                rows += {state},
+            e0 = e2
+        if not ({finite}):
+            return rows, (j, 1, nan)
+    return rows, None
+"""
 
-    e holds the member's drive on the half-step grid, so step j uses
-    e[2j-2], e[2j-1] (both midpoint stages) and e[2j].  Steps 1..n_steps
-    are run up to the first failure; the state after every
-    store_stride-th step is kept.
-    Returns (xs, ps, fail), xs and ps starting with the initial state and
-    fail None or the member's first failure (step, kind, |x|): kind 0 an
-    escape beyond `bound` (None for no bound), checked every step, kind 1 a
-    non-finite state, checked every _CHECK_EVERY steps and at step n_steps.
 
-    f and f' are evaluated by one Horner loop over coefficient pairs, f'
-    padded with a zero at the top power, in the order of operations of
-    np.polynomial.polynomial.polyval (acc = c[-1] + x*0, then
-    acc = c[k] + acc*x); each slope is k_p = f + tau f' (p/m) + e with
-    p/m = k_x.  Python floats add, multiply and divide as numpy's float64
-    does, so the result is bit-identical to a numpy evaluation of the same
-    expressions.
+def _emit_loop(names, slope, scales: PhysicalScales, dt: float, bound, **polys):
+    """Compile a classical RK4 step loop over the Python floats `names`.
+
+    The loop is straight-line Python: slope(point, e, k) gives the source
+    lines that set the slope names k of the state at the names `point`,
+    with drive sample e, and this skeleton adds the stage points x + half
+    k1, x + half k2 and x + dt k3 and the update x + sixth (k1 + 2 k2 +
+    2 k3 + k4).  The lines may read m, tau, dt, half = dt/2, sixth = dt/6
+    and, for each polynomial name in `polys`, its coefficient k as name_k
+    (see _horner).  These enter as bound keyword defaults, never as source
+    text, so every float (-0.0, subnormals, inf, nan) passes through
+    unchanged.
+
+    Returns loop(start, e, n_steps, store_stride) -> (rows, fail).  e holds
+    the drive on the half-step grid, so step j uses e[2j-2], e[2j-1] (both
+    midpoint stages) and e[2j]; the inner loop runs over iterators of its
+    odd and even samples from one finiteness check to the next.  rows
+    holds `start` and the state after every store_stride-th step, flat,
+    len(names) floats per state; fail is None or the first failure (step,
+    kind, |x|), x the first name: kind 0 an escape beyond `bound` (None for
+    no bound), checked every step, kind 1 a non-finite state, checked every
+    _CHECK_EVERY steps and at step n_steps.
     """
-    pairs = list(zip([float(c) for c in fm._c0[::-1]],
-                     [0.0] + [float(c) for c in fm._c1[::-1]]))
-    (cf, cg), rest = pairs[0], pairs[1:]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    xs, ps = [x], [p]
-    for j in range(1, n_steps + 1):
-        e0, e1, e2 = e[2 * j - 2], e[2 * j - 1], e[2 * j]
-        z = x * 0
-        f, g = cf + z, cg + z
-        for a, b in rest:
-            f, g = a + f * x, b + g * x
-        k1x = p / m
-        k1p = f + tau * g * k1x + e0
-        xa = x + half * k1x
-        pa = p + half * k1p
-        z = xa * 0
-        f, g = cf + z, cg + z
-        for a, b in rest:
-            f, g = a + f * xa, b + g * xa
-        k2x = pa / m
-        k2p = f + tau * g * k2x + e1
-        xb = x + half * k2x
-        pb = p + half * k2p
-        z = xb * 0
-        f, g = cf + z, cg + z
-        for a, b in rest:
-            f, g = a + f * xb, b + g * xb
-        k3x = pb / m
-        k3p = f + tau * g * k3x + e1
-        xc = x + dt * k3x
-        pc = p + dt * k3p
-        z = xc * 0
-        f, g = cf + z, cg + z
-        for a, b in rest:
-            f, g = a + f * xc, b + g * xc
-        k4x = pc / m
-        k4p = f + tau * g * k4x + e2
-        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p = p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if bound is not None and not abs(x) <= bound:
-            return xs, ps, (j, 0, abs(x))
-        if j % _CHECK_EVERY == 0 or j == n_steps:
-            if not (math.isfinite(x) and math.isfinite(p)):
-                return xs, ps, (j, 1, math.nan)
-        if j % store_stride == 0:
-            xs.append(x)
-            ps.append(p)
-    return xs, ps, None
+    body = slope(names, "e0", [f"k1_{v}" for v in names])
+    for k, prev, step, e in (("k2", "k1", "half", "e1"), ("k3", "k2", "half", "e1"),
+                             ("k4", "k3", "dt", "e2")):
+        point = [f"{v}_{k}" for v in names]
+        body += [f"{v}_{k} = {v} + {step} * {prev}_{v}" for v in names]
+        body += slope(point, e, [f"{k}_{v}" for v in names])
+    body += [f"{v} = {v} + sixth * (k1_{v} + 2.0 * k2_{v} + 2.0 * k3_{v} + k4_{v})"
+             for v in names]
+    if bound is not None:
+        body += [f"if not abs({names[0]}) <= bound:",
+                 f"    return rows, (j, 0, abs({names[0]}))"]
+    env = {"m": scales.m, "tau": scales.tau, "dt": dt, "half": 0.5 * dt, "sixth": dt / 6.0,
+           "bound": bound, "check": _CHECK_EVERY, "nan": math.nan, "isfinite": math.isfinite}
+    env.update((f"{name}_{k}", float(c)) for name, cs in polys.items()
+               for k, c in enumerate(cs))
+    src = _LOOP.format(consts=", ".join(f"{c}={c}" for c in env), state=", ".join(names),
+                       body="\n".join(" " * 12 + line for line in body),
+                       finite=" and ".join(f"isfinite({v})" for v in names))
+    exec(compile(src, "<sedlab step loop>", "exec"), env)
+    return env["loop"]
+
+
+def _horner(name, coeffs, x):
+    """Source lines setting `name` to the polynomial `coeffs` at x, in the
+    order of operations of np.polynomial.polynomial.polyval (acc = c[-1] +
+    x*0, then acc = c[k] + acc*x), z = x*0 being set beforehand; the
+    coefficients are read as name_0, name_1, ... (see _emit_loop)."""
+    top = len(coeffs) - 1
+    return [f"{name} = {name}_{top} + z"] + [f"{name} = {name}_{k} + {name} * {x}"
+                                              for k in range(top - 1, -1, -1)]
+
+
+def _rk4_lane(scales: PhysicalScales, fm: ForceModel, dt: float, bound):
+    """The step loop of the order-reduced equation for one member, over
+    (x, p), escaping beyond `bound` (None for no bound); see _emit_loop.
+
+    Each slope is k_x = p/m, k_p = f + tau f' k_x + e, f and f' by Horner.
+    Python floats add, multiply and divide as numpy's float64 does, and
+    2.0 and 0.0 are the values Python converts 2 and 0 to, so the result is
+    bit-identical to a numpy evaluation of the same expressions.
+    """
+    def slope(point, e, k):
+        x, p = point
+        return [f"z = {x} * 0.0", *_horner("f", fm._c0, x), *_horner("g", fm._c1, x),
+                f"{k[0]} = {p} / m", f"{k[1]} = f + tau * g * {k[0]} + {e}"]
+
+    return _emit_loop(("x", "p"), slope, scales, dt, bound, f=fm._c0, g=fm._c1)
 
 
 def _rk4_loop(scales, force, dt, n_steps, store_stride):
@@ -255,12 +280,12 @@ def _rk4_loop(scales, force, dt, n_steps, store_stride):
     its first failure; fills xs and ps unless it fails; and returns the
     failure record.
     """
+    loop = _rk4_lane(scales, force, dt, force.escape_bound)
+
     def run(e, xs, ps):
-        xr, pr, fail = _rk4_lane(force, scales.m, scales.tau, dt, force.escape_bound,
-                                 float(xs[0]), float(ps[0]), memoryview(e), n_steps,
-                                 store_stride)
+        rows, fail = loop((float(xs[0]), float(ps[0])), memoryview(e), n_steps, store_stride)
         if fail is None:
-            xs[:], ps[:] = xr, pr
+            xs[:], ps[:] = np.reshape(rows, (-1, 2)).T
         return fail
 
     return run
@@ -295,10 +320,11 @@ def _rk4_affine(scales, force, dt, n_steps, store_stride):
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
     # probe is the zero state, whose image is c.  A probe step that is not
     # finite gives NaN entries, and the solve then fails at step 1
+    probe = _rk4_lane(scales, force, dt, None)
     images = []
     for x, p, *e in np.eye(6)[:5].T.tolist():
-        xr, pr, fail = _rk4_lane(force, scales.m, scales.tau, dt, None, x, p, e, 1, 1)
-        images.append((math.nan, math.nan) if fail else (xr[1], pr[1]))
+        rows, fail = probe((x, p), e, 1, 1)
+        images.append((math.nan, math.nan) if fail else rows[2:])
     images = np.array(images).T
     c = images[:, 5]
     cols = images[:, :5] - c[:, None]  # [M | B]
@@ -506,11 +532,11 @@ def hierarchy_terms(
     n_steps = _n_steps(t_span, dt)
     _validate_stride(store_stride)
     drive = synthesize_drive(realization, dt, n_steps)
-    start = (float(x0), float(p0), 0.0, 0.0, 0.0, 0.0)
-    rows, fail = _hierarchy_lane(force, scales.m, scales.tau, dt, force.escape_bound, start,
-                                 memoryview(drive), n_steps, store_stride)
+    loop = _hierarchy_lane(scales, force, dt, force.escape_bound)
+    rows, fail = loop((float(x0), float(p0), 0.0, 0.0, 0.0, 0.0), memoryview(drive), n_steps,
+                      store_stride)
     _raise(fail, force.escape_bound, dt)
-    out = np.array(rows).T
+    out = np.reshape(rows, (-1, 6)).T
     t = dt * store_stride * np.arange(out.shape[1])
     return {
         "t": t,
@@ -520,67 +546,28 @@ def hierarchy_terms(
     }
 
 
-def _hierarchy_lane(fm: ForceModel, m: float, tau: float, dt: float, bound,
-                    state: tuple, e, n_steps: int, store_stride: int):
-    """hierarchy_terms' classical RK4 over (x0, p0, x1, p1, x2, p2), on floats.
+def _hierarchy_lane(scales: PhysicalScales, fm: ForceModel, dt: float, bound):
+    """hierarchy_terms' step loop over (x0, p0, x1, p1, x2, p2), named x, p,
+    x1, p1, x2, p2, escaping when x0 leaves `bound`; see _emit_loop.
 
-    e holds the drive on the half-step grid, as for _rk4_lane.  Returns
-    (rows, fail): the state after every store_stride-th step, starting with
-    `state`, and None or the first failure record, as _rk4_lane's: (step, 0,
-    |x0|) for an escape of x0 beyond `bound` (None for no bound), checked
-    every step, or (step, 1, nan) for a non-finite state, checked every
-    _CHECK_EVERY steps and at step n_steps.
-
-    f, f', f'' and f''' run one Horner loop, the shorter ones padded with
-    zeros at the top powers, in _polyval's order of operations; x1*x1
+    f, f', f'' and f''' are evaluated by Horner as in _rk4_lane; x1*x1
     stands for x1**2, which Python floats raise as OverflowError where
     numpy returns inf.  The result is bit-identical to a numpy evaluation
     of the same expressions.
     """
-    cs = [[float(c) for c in coeffs[::-1]] for coeffs in (fm._c0, fm._c1, fm._c2, fm._c3)]
-    width = max(map(len, cs))
-    (cf, cg, ch, ck), *rest = zip(*([0.0] * (width - len(c)) + c for c in cs))
+    def slope(point, e, k):
+        x, p, x1, p1, x2, p2 = point
+        kx, kp, kx1, kp1, kx2, kp2 = k
+        return [
+            f"z = {x} * 0.0", *_horner("f", fm._c0, x), *_horner("g", fm._c1, x),
+            *_horner("h", fm._c2, x), *_horner("k", fm._c3, x),
+            f"{kx} = {p} / m", f"{kx1} = {p1} / m", f"{kx2} = {p2} / m",
+            f"sq = {x1} * {x1}",
+            f"{kp} = m * ((f + tau * g * {kx}) / m)",
+            f"{kp1} = m * ((g * {x1} + tau * (h * {x1} * {kx} + g * {kx1}) + {e}) / m)",
+            f"{kp2} = m * ((g * {x2} + 0.5 * h * sq + tau * (h * {x2} * {kx} + g * {kx2}"
+            f" + h * {x1} * {kx1} + 0.5 * k * sq * {kx})) / m)",
+        ]
 
-    def deriv(x, p, x1, p1, x2, p2, e):
-        z = x * 0
-        f, g, h, k = cf + z, cg + z, ch + z, ck + z
-        for a, b, c, d in rest:
-            f, g, h, k = a + f * x, b + g * x, c + h * x, d + k * x
-        v, v1, v2 = p / m, p1 / m, p2 / m
-        sq = x1 * x1
-        a0 = (f + tau * g * v) / m
-        a1 = (g * x1 + tau * (h * x1 * v + g * v1) + e) / m
-        a2 = (
-            g * x2
-            + 0.5 * h * sq
-            + tau * (h * x2 * v + g * v2 + h * x1 * v1 + 0.5 * k * sq * v)
-        ) / m
-        return v, m * a0, v1, m * a1, v2, m * a2
-
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    rows = [state]
-    x, p, x1, p1, x2, p2 = state
-    for j in range(1, n_steps + 1):
-        e0, e1, e2 = e[2 * j - 2], e[2 * j - 1], e[2 * j]
-        a = deriv(x, p, x1, p1, x2, p2, e0)
-        b = deriv(x + half * a[0], p + half * a[1], x1 + half * a[2],
-                  p1 + half * a[3], x2 + half * a[4], p2 + half * a[5], e1)
-        c = deriv(x + half * b[0], p + half * b[1], x1 + half * b[2],
-                  p1 + half * b[3], x2 + half * b[4], p2 + half * b[5], e1)
-        d = deriv(x + dt * c[0], p + dt * c[1], x1 + dt * c[2],
-                  p1 + dt * c[3], x2 + dt * c[4], p2 + dt * c[5], e2)
-        x = x + sixth * (a[0] + 2 * b[0] + 2 * c[0] + d[0])
-        p = p + sixth * (a[1] + 2 * b[1] + 2 * c[1] + d[1])
-        x1 = x1 + sixth * (a[2] + 2 * b[2] + 2 * c[2] + d[2])
-        p1 = p1 + sixth * (a[3] + 2 * b[3] + 2 * c[3] + d[3])
-        x2 = x2 + sixth * (a[4] + 2 * b[4] + 2 * c[4] + d[4])
-        p2 = p2 + sixth * (a[5] + 2 * b[5] + 2 * c[5] + d[5])
-        if bound is not None and not abs(x) <= bound:
-            return rows, (j, 0, abs(x))
-        s = (x, p, x1, p1, x2, p2)
-        if j % store_stride == 0:
-            rows.append(s)
-        if (j % _CHECK_EVERY == 0 or j == n_steps) and not all(map(math.isfinite, s)):
-            return rows, (j, 1, math.nan)
-    return rows, None
+    return _emit_loop(("x", "p", "x1", "p1", "x2", "p2"), slope, scales, dt, bound,
+                      f=fm._c0, g=fm._c1, h=fm._c2, k=fm._c3)

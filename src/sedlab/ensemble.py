@@ -297,11 +297,12 @@ def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
                 *planes: np.ndarray) -> tuple:
     """The stationary window and each plane's finite members within it.
 
-    `window` defaults to (burn_in, t_span).  It must lie inside the
-    simulated span after the burn-in (ConfigurationError), start after 5
-    energy-decay times and last MIN_CORR_TIMES correlation times
-    (StatisticsError).  Returns ((lo, hi), the times in the window, [each
-    plane's rows for the members with finite x, cut to the window]).
+    `window` defaults to (burn_in, t_span).  It must end after it starts
+    and lie inside the simulated span after the burn-in
+    (ConfigurationError), start after 5 energy-decay times and last
+    MIN_CORR_TIMES correlation times (StatisticsError).  Returns ((lo, hi),
+    the times in the window, [each plane's rows for the members with
+    finite x, cut to the window]).
     """
     cfg = report.config
     lo, hi = (cfg.burn_in, cfg.t_span) if window is None else window
@@ -309,7 +310,9 @@ def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
         raise ConfigurationError(
             f"window start {lo:g} precedes the burn-in {cfg.burn_in:g}"
         )
-    if hi > cfg.t_span + 1e-9 or hi <= lo:
+    if hi <= lo:
+        raise ConfigurationError(f"window end {hi:g} must come after its start {lo:g}")
+    if hi > cfg.t_span + 1e-9:
         raise ConfigurationError("window must lie inside the simulated span")
     settle = 5.0 * cfg.energy_decay_time
     if lo < settle * (1 - 1e-9):

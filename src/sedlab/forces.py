@@ -3,8 +3,10 @@
 All supported forces are polynomials in x, stored by ascending coefficients,
 so f, f' and the potential V = -int f dx are exact.  The potential constant
 is fixed by V(equilibrium) = 0; only energy differences matter.  The
-coefficients of f'' and f''' are cached too (_c2, _c3), for the variational
-hierarchy's step loop (dynamics._hierarchy_lane), which reads them directly.
+coefficients of f'' and f''' are cached too (_c2, _c3).  The step loops that
+dynamics emits (dynamics._rk4_lane over _c0 and _c1, dynamics._hierarchy_lane
+over all four) unroll Horner's rule over them, holding each coefficient as a
+value.
 """
 
 from __future__ import annotations

@@ -114,8 +114,8 @@ def _ladder_ops(basis_size: int, m: float, omega_b: float, hbar: float):
     return x, p
 
 
-def _solve_in_basis(scales: PhysicalScales, force: ForceModel, basis_size: int):
-    """Eigen-solve H = p^2/2m + V(x) in a harmonic-oscillator basis.
+def _hamiltonian(scales: PhysicalScales, force: ForceModel, basis_size: int):
+    """H = p^2/2m + V(x), x and p in a harmonic-oscillator basis of basis_size.
 
     The basis is centered on the potential minimum with the local curvature
     frequency.  Operators are built in a working basis padded by the potential
@@ -136,9 +136,7 @@ def _solve_in_basis(scales: PhysicalScales, force: ForceModel, basis_size: int):
         if c:
             h = h + c * xpow
         xpow = xpow @ x
-    h = h[:basis_size, :basis_size]
-    energies, u = eigh(h)
-    return energies, u, x[:basis_size, :basis_size], p[:basis_size, :basis_size]
+    return tuple(a[:basis_size, :basis_size] for a in (h, x, p))
 
 
 def diagonalize_potential(
@@ -156,8 +154,9 @@ def diagonalize_potential(
     _check_basis("basis_size", basis_size)
     if not force.is_confining():
         raise ConfigurationError("potential is not confining; diagonalization refused")
-    energies, u, x, p = _solve_in_basis(scales, force, basis_size)
-    e_check = _solve_in_basis(scales, force, basis_size + 20)[0]
+    h, x, p = _hamiltonian(scales, force, basis_size)
+    energies, u = eigh(h)
+    e_check = np.linalg.eigvalsh(_hamiltonian(scales, force, basis_size + 20)[0])
     if abs(e_check[0] - energies[0]) > 1e-8:
         raise ConvergenceError(
             f"ground state not converged: E0 shifts by {abs(e_check[0] - energies[0]):.3e} "

@@ -296,6 +296,29 @@ class TestStepLoop:
                       np.linspace(-2.0, 2.0, 32), np.full(32, 0.3), 0.05, n_steps,
                       scales=scales)
 
+    def test_signed_zero_subnormal_and_zero_top_coefficients(self):
+        # the loop holds coefficients as values: a subnormal constant term
+        # (it moves the members that start at rest), -0.0 at x^2 and 0.0 at
+        # the top power, which polyval still steps over
+        force = sl.polynomial([1e-310, -1.0, -0.0, -0.1, 0.0])
+        drive, n_steps = _driven_rows(sl.REF, 20.0, 0.01, 4)
+        drive[2:] = 0.0
+        x, _, _, _ = self._compare(force, drive, [0.7, -1.2, 0.0, -0.0],
+                                   [-0.2, 0.3, 0.0, 0.0], 0.01, n_steps, stride=3)
+        assert 0.0 < x[2, -1] < 1e-300 and 0.0 < x[3, -1] < 1e-300
+
+    def test_escape_between_stored_samples(self):
+        # at store_stride 7, members 1 and 2 escape at steps 75 and 115,
+        # neither of them a stored step; member 0 stays bound
+        runaway = sl.polynomial([0.0, -1.0, 0.0, 0.5], escape_bound=5.0)
+        dt, n_steps, stride = 0.01, 1000, 7
+        args = (sl.REF, runaway, np.zeros((3, 2 * n_steps + 1)), np.array([0.5, 2.5, 2.0]),
+                np.zeros(3), dt, n_steps, stride)
+        fast = dynamics.rk4_core(*args)
+        _assert_records(fast, _oracle_alone(*args), 0.0, dt)
+        assert fast[3][0] is None
+        assert [fail[:2] for fail in fast[3][1:]] == [(75, 0), (115, 0)]
+
     def test_divergence_after_the_last_check_block(self):
         # from x = 1e-6 the state first turns non-finite at step 334, past
         # the last _CHECK_EVERY boundary; the check at the last step sees it
@@ -600,7 +623,8 @@ class TestHierarchy:
         (sl.polynomial([0.1, -1.0, 0.05, -0.2, 0.03, -0.01]), 30.0, 1),
         (sl.harmonic(1.0), 30.0, 1),
         (sl.quartic(1.0, 0.1), 30.0, 7),
-    ], ids=["quartic", "degree-five", "harmonic", "stride-7"])
+        (sl.polynomial([1e-310, -1.0, -0.0, -0.1, 0.0]), 30.0, 1),
+    ], ids=["quartic", "degree-five", "harmonic", "stride-7", "signed-zero-subnormal"])
     def test_bit_identical_to_the_numpy_loop(self, force, t_span, stride):
         r = _ref_realization(t_span)
         h = sl.hierarchy_terms(sl.REF, force, r, 1.0, -0.3, t_span, 0.01,

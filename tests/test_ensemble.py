@@ -217,14 +217,15 @@ class TestMomentsAgainstOracle:
     @pytest.mark.parametrize("estimator", [
         sl.stationary_moments, sl.measure_balance, sl.power_spectrum,
     ], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("window, error", [
-        ((0.0, 2000.0), sl.ConfigurationError),
-        ((500.0, 2500.0), sl.ConfigurationError),
-        ((1500.0, 1500.0), sl.ConfigurationError),
-        ((500.0, 1100.0), sl.StatisticsError),  # shorter than 20 correlation times
-    ], ids=["before-burn-in", "past-span", "empty", "too-short"])
-    def test_window_validation(self, ref_ensemble_report, estimator, window, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize("window, error, match", [
+        ((0.0, 2000.0), sl.ConfigurationError, None),
+        ((500.0, 2500.0), sl.ConfigurationError, None),
+        ((1500.0, 1500.0), sl.ConfigurationError, None),
+        ((1500.0, 1400.0), sl.ConfigurationError, "end 1400 must come after its start 1500"),
+        ((500.0, 1100.0), sl.StatisticsError, None),  # shorter than 20 correlation times
+    ], ids=["before-burn-in", "past-span", "empty", "reversed", "too-short"])
+    def test_window_validation(self, ref_ensemble_report, estimator, window, error, match):
+        with pytest.raises(error, match=match):
             estimator(ref_ensemble_report, window=window)
 
     def test_tau_to_zero_refused(self):
