@@ -182,8 +182,7 @@ def cmd_balance(cfg: dict, out_dir: Path) -> None:
 
     scales = econf.scales
     if econf.force.kind == "harmonic":
-        # the force's own frequency, which need not be scales.omega0
-        tm = oscillator_matrices(replace(scales, omega0=econf.force.curvature_frequency(scales.m)), 8)
+        tm = oscillator_matrices(replace(scales, omega0=econf.omega), 8)
     else:
         tm = diagonalize_potential(scales, econf.force, body.get("basis_size", BASIS_SIZE))
     state = body.get("state", 0)

@@ -430,20 +430,14 @@ class GreensFunction:
     def g(self, u):
         u = np.asarray(u, dtype=np.float64)
         w1 = self.omega1
-        out = np.sin(w1 * u) / (self.m * w1)
-        if self.gamma:
-            out = out * np.exp(-0.5 * self.gamma * u)
+        out = np.sin(w1 * u) / (self.m * w1) * np.exp(-0.5 * self.gamma * u)
         return np.where(u >= 0, out, 0.0)
 
     def gdot(self, u):
         u = np.asarray(u, dtype=np.float64)
         w1 = self.omega1
-        if self.gamma:
-            env = np.exp(-0.5 * self.gamma * u)
-            out = env * (np.cos(w1 * u) / self.m
-                         - 0.5 * self.gamma * np.sin(w1 * u) / (self.m * w1))
-        else:
-            out = np.cos(w1 * u) / self.m
+        env = np.exp(-0.5 * self.gamma * u)
+        out = env * (np.cos(w1 * u) / self.m - 0.5 * self.gamma * np.sin(w1 * u) / (self.m * w1))
         return np.where(u >= 0, out, 0.0)
 
 

@@ -13,8 +13,8 @@ Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
 and then averaged across the ensemble; the quoted standard error is the
 i.i.d. standard error of that mean.  Windows shorter than 20 correlation
-times of the squared-amplitude observables (T_corr = 1/(2 tau omega0^2))
-are refused: the per-trajectory averages would not be meaningful.
+times of the squared-amplitude observables (T_corr = 1/(2 tau omega^2),
+EnsembleConfig.omega) are refused: per-trajectory averages would mean nothing.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class GaussianIC:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """One ensemble run.  `omega`, the force's curvature frequency for mass
+    scales.m (refused without exactly one stable equilibrium), is derived
+    once and sets every time scale: stride, decay times and fit lags."""
+
     scales: PhysicalScales
     force: ForceModel
     omega_cut: float
@@ -92,23 +96,25 @@ class EnsembleConfig:
     burn_in: float
     oversample: float = 1.0
     initial_conditions: object = field(default_factory=FixedIC)
+    omega: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_traj < 2:
             raise ConfigurationError("n_traj must be >= 2")
         if self.burn_in < 0 or self.burn_in >= self.t_span:
             raise ConfigurationError("burn_in must lie inside [0, t_span)")
+        object.__setattr__(self, "omega", self.force.curvature_frequency(self.scales.m))
         _validate_step(self.scales, self.force, self.dt, self.omega_cut)
         _n_steps(self.t_span, self.dt)
 
     @property
     def decimate_stride(self) -> int:
-        """Moments stored every ceil(0.1/omega0 / dt) steps to bound report size."""
-        return max(1, int(np.ceil(0.1 / (self.scales.omega0 * self.dt))))
+        """Moments stored every ceil(0.1/omega / dt) steps to bound report size."""
+        return max(1, int(np.ceil(0.1 / (self.omega * self.dt))))
 
     @property
     def energy_decay_time(self) -> float:
-        return 1.0 / (self.scales.tau * self.scales.omega0**2) if self.scales.tau else np.inf
+        return 1.0 / (self.scales.tau * self.omega**2) if self.scales.tau else np.inf
 
     @property
     def correlation_time(self) -> float:
@@ -386,7 +392,7 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
     else:
         expected = None
     # peaks of |Delta|, skipping the first quarter period
-    fit = _peak_fit(t, delta, t > 0.5 * np.pi / cfg.scales.omega0)
+    fit = _peak_fit(t, delta, t > 0.5 * np.pi / cfg.omega)
     if fit is None or delta.max() < 1e-12:
         return MemoryLossResult(t=t, delta=delta, fitted_rate=0.0,
                                 fitted_amplitude=0.0, expected_rate=expected)
@@ -486,7 +492,9 @@ def _envelope_rate(x: np.ndarray, dts: float, cfg: EnsembleConfig) -> float:
     """Amplitude decay rate of the ensemble-averaged autocorrelation of x.
 
     For the stationary driven oscillator the autocorrelation envelope decays
-    as exp(-rate*u); the fitted rate equals half the Lorentzian FWHM.
+    as exp(-rate*u); the fitted rate equals half the Lorentzian FWHM.  The
+    fit runs over lags from one period 2 pi/omega, past the lag-0 broadband
+    spike, to 4 energy-decay times (at most 0.8 of the window).
     """
     n, L = x.shape
     nfft = 1 << int(np.ceil(np.log2(2 * L)))
@@ -496,9 +504,7 @@ def _envelope_rate(x: np.ndarray, dts: float, cfg: EnsembleConfig) -> float:
     # remove the triangular bias of the fixed-denominator autocovariance,
     # (L-k)/L, which would otherwise inflate the fitted decay rate by ~1/T
     ac = ac / (1.0 - np.arange(L) / L)
-    # fit over lags covering a few decay times, away from the lag-0 broadband spike
-    omega0 = cfg.scales.omega0
-    u_lo = 2 * np.pi / omega0
+    u_lo = 2 * np.pi / cfg.omega
     u_hi = min(4.0 * cfg.energy_decay_time, 0.8 * u[-1])
     fit = _peak_fit(u, ac, (u >= u_lo) & (u <= u_hi))
     if fit is None:

@@ -240,9 +240,9 @@ def _grid_synthesizer(ms: ModeSet, t0: float, h: float, m_samples: int,
 
     Returns synth(realization) -> eE on that grid, for realizations of
     `ms`: sum_a A_a cos(a*dw*t0 + 2 pi a j/K + phi_a) over the comb indices
-    a = 1..N, all <= K/2 (the Nyquist bound).  Every call reuses one
-    spectrum and one irfft output buffer, so the samples of one call are
-    overwritten by the next.
+    a = 1..N, all <= K/2 (the Nyquist bound).  A grid of at most K samples
+    reuses one period buffer, overwritten by the next call; a longer grid
+    gets its own array, its first period repeated in place.
     """
     K = _comb_period(ms, h, name, rtol)
     if K == 0:
@@ -251,16 +251,17 @@ def _grid_synthesizer(ms: ModeSet, t0: float, h: float, m_samples: int,
     scaled = (K / 2) * ms.amplitudes
     shift = np.arange(1, n + 1) * (ms.delta_omega * t0)
     spec = np.zeros(K // 2 + 1, dtype=complex)  # zero off the comb, always
-    period = np.empty(K)
+    period = np.empty(K) if m_samples <= K else None
 
     def synth(r):
         spec[1 : n + 1] = scaled * np.exp(1j * (shift + r.phases))
         if K % 2 == 0:
             spec[-1] *= 2.0  # irfft counts the Nyquist bin once, the others twice
-        np.fft.irfft(spec, K, out=period)
-        if m_samples <= K:
-            return period[:m_samples]
-        return np.resize(period, m_samples)
+        out = np.empty(m_samples) if period is None else period
+        np.fft.irfft(spec, K, out=out[:K])
+        for lo in range(K, m_samples, K):
+            out[lo : lo + K] = out[: min(K, m_samples - lo)]
+        return out[:m_samples]
 
     return synth
 

@@ -249,6 +249,18 @@ class TestEnsembleCommand:
         assert report["decimate_dt"] == 0.1
         assert (out / "manifest.json").exists()
 
+    def test_double_well_exit_2_before_any_member_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ensemble, "rk4_core", lambda *args: calls.append(args))
+        cfg = write_config(
+            tmp_path / "c.json",
+            scales=SCALES, force={"kind": "polynomial", "coeffs": [0.0, 1.0, 0.0, -1.0]},
+            field=FIELD, ensemble=small_ensemble_section(),
+        )
+        assert cli.main(["ensemble", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "2 stable equilibria" in capsys.readouterr().err
+        assert calls == []
+
     def test_zero_trajectories_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

@@ -95,11 +95,11 @@ class TestRunEnsemble:
         # planes, in one member's drive bytes: the banded solve's band,
         # inputs and state take 7 (none if an earlier run of the same length
         # left them set up); the drive being integrated and the next one,
-        # which is synthesized before the first is freed, 2 each (the
-        # synthesized drive views two field periods); the spectrum and
-        # period buffer of the synthesis 2.  Measured 13.3 in all; 16 leaves
-        # room, while a run that holds all 32 members' drives at once
-        # measured 46.2
+        # which is synthesized before the first is freed, 1 each; the
+        # synthesis's spectrum 1.  Measured 10.3 in all; 12 leaves room,
+        # while drives that view two field periods beside a period buffer
+        # measured 13.3 and a run that holds all 32 members' drives at once
+        # 46.2
         import tracemalloc
 
         cfg = small_config(n_traj=32)
@@ -123,7 +123,7 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         assert len(peaks) == cfg.n_members
-        assert peaks[-1] - base < report_bytes + 16 * drive_bytes, (
+        assert peaks[-1] - base < report_bytes + 12 * drive_bytes, (
             (peaks[-1] - base - report_bytes) / drive_bytes)
 
     def test_paired_members_share_field(self):
@@ -150,9 +150,11 @@ class TestRunEnsemble:
         assert len(calls) == 3
 
     def test_divergent_member_fraction_guard(self):
-        # an anti-confining force diverges every member -> run fails
-        cfg = small_config(force=sl.polynomial([0.0, 25.0]), n_traj=4,
-                           t_span=200.0, burn_in=10.0)
+        # every member starts past the barrier at sqrt(2) of f = -x + x^3/2,
+        # whose one stable equilibrium is x = 0, and diverges -> run fails
+        cfg = small_config(force=sl.polynomial([0.0, -1.0, 0.0, 0.5]), n_traj=4,
+                           t_span=200.0, burn_in=10.0,
+                           initial_conditions=sl.FixedIC(3.0, 0.0))
         with pytest.raises(sl.IntegrationDivergedError):
             sl.run_ensemble(cfg)
 
@@ -186,6 +188,45 @@ class TestRunEnsemble:
         rep = sl.run_ensemble(cfg)
         assert np.std(rep.x[:, 0]) == pytest.approx(1.0, rel=0.35)
         assert len(set(np.round(rep.x[:, 0], 12))) > 32  # actually random draws
+
+
+class TestBindingFrequency:
+    """Every ensemble time scale follows the force's own frequency, which
+    here differs from scales.omega0 = 1."""
+
+    @pytest.fixture(scope="class")
+    def fast_report(self):
+        return sl.run_ensemble(small_config(force=sl.harmonic(1.25), n_traj=2,
+                                            t_span=1000.0, burn_in=0.0))
+
+    def test_stride_and_decay_time_at_the_force_frequency(self, fast_report):
+        # ceil(0.1/(1.25*0.016)) = 5 and 1/(0.01*1.25^2) = 64, where
+        # scales.omega0 would give 7 and 100
+        cfg = fast_report.config
+        assert cfg.omega == 1.25
+        assert cfg.decimate_stride == 5
+        assert cfg.energy_decay_time == 64.0
+        assert fast_report.t[1] == pytest.approx(5 * 0.016, rel=1e-15)
+
+    def test_window_from_five_decay_times_accepted(self, fast_report):
+        sl.stationary_moments(fast_report, (320.0, 1000.0))
+        with pytest.raises(sl.StatisticsError, match=r"5 energy-decay times \(320\); got 319"):
+            sl.stationary_moments(fast_report, (319.0, 1000.0))
+
+    def test_slow_force_window_refused(self):
+        # omega = 0.8 decays in 156.25, so a window from 500 starts after
+        # 3.2 decay times; scales.omega0 would have accepted it
+        rep = sl.run_ensemble(small_config(force=sl.harmonic(0.8), n_traj=2,
+                                           t_span=1600.0, burn_in=0.0))
+        with pytest.raises(sl.StatisticsError, match=r"\(781.25\); got 500"):
+            sl.stationary_moments(rep, (500.0, 1600.0))
+
+    @pytest.mark.parametrize("force", [sl.polynomial([0.0, 1.0, 0.0, -1.0]),
+                                       sl.polynomial([0.0, 25.0])],
+                             ids=["double-well", "repulsive"])
+    def test_force_without_one_stable_equilibrium_refused(self, force):
+        with pytest.raises(sl.ConfigurationError, match="stable equilibria; need exactly one"):
+            small_config(force=force)
 
 
 class TestMomentsAgainstOracle:
