@@ -52,7 +52,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .forces import ForceModel
-from .zpf import PhysicalScales, ZpfRealization, _grid_synthesizer, eval_field_grid
+from .zpf import (
+    ModeSet,
+    PhysicalScales,
+    ZpfRealization,
+    _comb_period,
+    _grid_synthesizer,
+    eval_field_grid,
+)
 
 __all__ = [
     "Trajectory",
@@ -85,22 +92,6 @@ class Trajectory:
         return self.dt * np.arange(self.x.size)
 
 
-def _validate_step(scales: PhysicalScales, force: ForceModel, dt: float,
-                   omega_cut: float | None):
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    # the force's own restoring stiffness over scales.m: its factories take
-    # their own m, so omega0 alone need not be the integrated frequency
-    omega = max(scales.omega0, math.sqrt(max(0.0, -float(force.coeffs[1])) / scales.m))
-    if dt * omega > _MAX_DT_OMEGA0 * (1 + 1e-12):
-        raise ConfigurationError(f"dt*omega = {dt * omega:g} exceeds {_MAX_DT_OMEGA0}, "
-                                 f"omega = max(omega0, sqrt(-f'(0)/m))")
-    if omega_cut is not None and dt * omega_cut > _MAX_DT_OMEGA_CUT * (1 + 1e-12):
-        raise ConfigurationError(
-            f"dt*omega_cut = {dt * omega_cut:g} exceeds {_MAX_DT_OMEGA_CUT}"
-        )
-
-
 def synthesize_drive(realization: ZpfRealization | None, dt: float, n_steps: int) -> np.ndarray:
     """Drive samples on the half-step grid k*dt/2, k = 0..2*n_steps.
 
@@ -114,8 +105,25 @@ def synthesize_drive(realization: ZpfRealization | None, dt: float, n_steps: int
     return synth(realization)
 
 
-def _n_steps(t_span: float, dt: float) -> int:
-    """Number of dt steps in t_span; rejects spans that are not a whole number."""
+def _n_steps(scales: PhysicalScales, force: ForceModel, mode_set: ModeSet | None,
+             t_span: float, dt: float, store_stride: int = 1) -> int:
+    """Number of dt steps in t_span, once an integration of `force` in the
+    field of `mode_set` (None: none) may start: dt > 0, dt*omega <= 0.05 and
+    tau*omega <= 0.1 at omega = max(omega0, sqrt(-f'(0)/m)), dt*omega_cut <=
+    0.35, MAX_STEPS (ResourceLimitError), a whole number of steps,
+    store_stride >= 1 and the drive step dt/2 on the comb (_comb_period)."""
+    if dt <= 0:
+        raise ConfigurationError("dt must be positive")
+    omega = max(scales.omega0, math.sqrt(max(0.0, -float(force.coeffs[1])) / scales.m))
+    if dt * omega > _MAX_DT_OMEGA0 * (1 + 1e-12):
+        raise ConfigurationError(f"dt*omega = {dt * omega:g} exceeds {_MAX_DT_OMEGA0}, "
+                                 f"omega = max(omega0, sqrt(-f'(0)/m))")
+    if scales.tau * omega > 0.1 * (1 + 1e-12):  # the order reduction needs tau*omega << 1
+        raise ConfigurationError(f"tau*omega = {scales.tau * omega:g} violates the "
+                                 "narrow-resonance bound 0.1")
+    if mode_set is not None and dt * mode_set.omega_cut > _MAX_DT_OMEGA_CUT * (1 + 1e-12):
+        raise ConfigurationError(f"dt*omega_cut = {dt * mode_set.omega_cut:g} exceeds "
+                                 f"{_MAX_DT_OMEGA_CUT}")
     steps = t_span / dt  # checked on floats: a count past the limit may not fit an int
     if steps > MAX_STEPS:
         raise ResourceLimitError(
@@ -124,12 +132,11 @@ def _n_steps(t_span: float, dt: float) -> int:
     n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - t_span) > 1e-9 * max(1.0, t_span):
         raise ConfigurationError("t_span must be a whole number of steps")
-    return n_steps
-
-
-def _validate_stride(store_stride: int):
     if store_stride < 1:
         raise ConfigurationError(f"store_stride must be >= 1, got {store_stride}")
+    if mode_set is not None:
+        _comb_period(mode_set, 0.5 * dt, "drive step dt/2")
+    return n_steps
 
 
 _last = threading.local()  # rk4_core's last integrator in each thread, and its key
@@ -157,7 +164,8 @@ def rk4_core(scales: PhysicalScales, force: ForceModel, drive_half, x0: np.ndarr
     drives' bytes), until a call with other arguments: a caller may pass
     one member per call, while the setup costs 2/3 of one member's solve.
     """
-    _validate_stride(store_stride)
+    if store_stride < 1:
+        raise ConfigurationError(f"store_stride must be >= 1, got {store_stride}")
     n_out = n_steps // store_stride + 1
     xs, ps, es = np.empty((3, len(x0), n_out)) if out is None else out
     key = (scales, force, dt, n_steps, store_stride)
@@ -391,10 +399,8 @@ def integrate_trajectory(
     failure raises EscapeError or IntegrationDivergedError (see _raise).
     The Trajectory starts at t = 0 and holds the drive at its stored times.
     """
-    omega_cut = realization.mode_set.omega_cut if realization is not None else None
-    _validate_step(scales, force, dt, omega_cut)
-    n_steps = _n_steps(t_span, dt)
-    _validate_stride(store_stride)
+    mode_set = realization.mode_set if realization is not None else None
+    n_steps = _n_steps(scales, force, mode_set, t_span, dt, store_stride)
     xs, ps, es, (fail,) = rk4_core(scales, force, [synthesize_drive(realization, dt, n_steps)],
                                    [x0], [p0], dt, n_steps, store_stride)
     _raise(fail, force.escape_bound, dt)
@@ -475,16 +481,13 @@ def first_order_response(
     The convolution lower limit is the first grid point (finite-past
     truncation); start from a quiescent state and discard a burn-in before
     using the output for stationary statistics.  Computed by the trapezoid
-    rule on the field grid via FFT convolution.  The grid step must lie on
-    the realization's comb (see eval_field_grid).
+    rule on the field grid via FFT convolution.  The grid must be uniform,
+    its step on the realization's comb (see eval_field_grid).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size < 2:
         raise ConfigurationError("t_grid must contain at least two points")
-    steps = np.diff(t_grid)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ConfigurationError("t_grid must be uniform")
+    h = t_grid[1] - t_grid[0]
     if t_grid[-1] - t_grid[0] > realization.mode_set.recurrence_time * (1 + 1e-9):
         raise ConfigurationError("t_grid exceeds the realization's non-recurrence window")
     e = eval_field_grid(realization, t_grid)
@@ -521,10 +524,7 @@ def hierarchy_terms(
     series x0, p0, x1, p1, x2, p2 plus the time grid.  Used to verify the
     cubic scaling of the hierarchy residual for anharmonic forces.
     """
-    omega_cut = realization.mode_set.omega_cut
-    _validate_step(scales, force, dt, omega_cut)
-    n_steps = _n_steps(t_span, dt)
-    _validate_stride(store_stride)
+    n_steps = _n_steps(scales, force, realization.mode_set, t_span, dt, store_stride)
     drive = synthesize_drive(realization, dt, n_steps)
     loop = _hierarchy_lane(scales, force, dt, force.escape_bound)
     rows, fail = loop((float(x0), float(p0), 0.0, 0.0, 0.0, 0.0), memoryview(drive), n_steps,

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import pool
-from .dynamics import _n_steps, _validate_step, rk4_core, synthesize_drive
+from .dynamics import _n_steps, rk4_core, synthesize_drive
 from .errors import (
     ConfigurationError,
     IntegrationDivergedError,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .forces import ForceModel
 from .rng import derive_seed, gaussian_pair
-from .zpf import ModeSet, PhysicalScales, _comb_period, build_mode_set, sample_realization
+from .zpf import ModeSet, PhysicalScales, build_mode_set, sample_realization
 
 __all__ = [
     "FixedIC",
@@ -82,9 +82,10 @@ class GaussianIC:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """One ensemble run.  `omega`, the force's curvature frequency for mass
-    scales.m (refused without exactly one stable equilibrium), is derived
-    once and sets every time scale: stride, decay times and fit lags."""
+    """One ensemble run, refused here unless it may start (run_ensemble
+    refuses only a divergence above 1%).  `omega`, the force's curvature
+    frequency for mass scales.m, sets every time scale: stride, decay times
+    and fit lags; `n_steps` comes from dynamics._n_steps, once."""
 
     scales: PhysicalScales
     force: ForceModel
@@ -97,15 +98,25 @@ class EnsembleConfig:
     oversample: float = 1.0
     initial_conditions: object = field(default_factory=FixedIC)
     omega: float = field(init=False, repr=False)
+    n_steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_traj < 2:
             raise ConfigurationError("n_traj must be >= 2")
         if self.burn_in < 0 or self.burn_in >= self.t_span:
             raise ConfigurationError("burn_in must lie inside [0, t_span)")
+        ic = self.initial_conditions
+        if not isinstance(ic, (FixedIC, PairedIC, GaussianIC)):
+            raise ConfigurationError(f"unknown initial-condition spec {type(ic).__name__}")
         object.__setattr__(self, "omega", self.force.curvature_frequency(self.scales.m))
-        _validate_step(self.scales, self.force, self.dt, self.omega_cut)
-        _n_steps(self.t_span, self.dt)
+        object.__setattr__(self, "n_steps", _n_steps(self.scales, self.force, self.mode_set(),
+                                                     self.t_span, self.dt))
+        n_times = self.n_steps // self.decimate_stride + 1
+        nbytes = 8 * 3 * self.n_members * n_times
+        if nbytes > MAX_REPORT_BYTES:
+            raise ResourceLimitError(
+                f"report of {nbytes:.4g} B (3 planes x {self.n_members} members x "
+                f"{n_times} samples) exceeds the configured hard limit {MAX_REPORT_BYTES} B")
 
     @property
     def decimate_stride(self) -> int:
@@ -188,15 +199,13 @@ def _member_ic(config: EnsembleConfig, member: int) -> tuple[float, float]:
         return ic.x0, ic.p0
     if isinstance(ic, PairedIC):
         return (ic.x0a, 0.0) if member % 2 == 0 else (ic.x0b, 0.0)
-    if isinstance(ic, GaussianIC):
-        g1, g2 = gaussian_pair(derive_seed(config.master_seed, 1 << 32), member)
-        return ic.x0_mean + ic.x0_sd * g1, ic.p0_mean + ic.p0_sd * g2
-    raise ConfigurationError(f"unknown initial-condition spec {type(ic).__name__}")
+    g1, g2 = gaussian_pair(derive_seed(config.master_seed, 1 << 32), member)  # GaussianIC
+    return ic.x0_mean + ic.x0_sd * g1, ic.p0_mean + ic.p0_sd * g2
 
 
 def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
                  members: range) -> list:
-    """Integrate the ensemble members in `members`, a range of indices.
+    """Integrate the members in `members`, a range, over config.n_steps steps.
 
     Member by member, synthesizes the drive (the second of a common-noise
     pair reuses the first's) and lets rk4_core write the decimated x, p and
@@ -207,7 +216,7 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
     escapes or diverges gets NaN rows and is listed in the returned
     `diverged` as (member, t_fail).
     """
-    n_steps = _n_steps(config.t_span, config.dt)
+    n_steps = config.n_steps
     diverged = []
     last_seed = None
     for member in members:
@@ -246,23 +255,13 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     this process.  Each process fills its rows of the report one member at
     a time and holds at most two members' drives (_run_members).
     No worker outlives the call.  Diverged members are excluded and
-    counted; more than 1% divergence fails the run.  A drive step dt/2 off
-    the field's comb, or a comb period past MAX_COMB_PERIOD, is refused
-    before the report is allocated.
+    counted; more than 1% divergence fails the run, the one refusal left
+    here: every other one comes when the EnsembleConfig is built.
     """
     n_mem = config.n_members
-    n_steps = _n_steps(config.t_span, config.dt)
     stride = config.decimate_stride
-    shape = (3, n_mem, n_steps // stride + 1)
-    nbytes = 8 * math.prod(shape)
-    if nbytes > MAX_REPORT_BYTES:
-        raise ResourceLimitError(
-            f"report of {nbytes:.4g} B ({shape[0]} planes x {n_mem} members x "
-            f"{shape[2]} samples) exceeds the configured hard limit {MAX_REPORT_BYTES} B"
-        )
+    shape = (3, n_mem, config.n_steps // stride + 1)
     mode_set = config.mode_set()
-    # every member's drive grid meets this check: refuse it before anything runs
-    _comb_period(mode_set, 0.5 * config.dt, "drive step dt/2")
     t = config.dt * stride * np.arange(shape[2])
     parts = pool.split(range(n_mem), min(pool.cpu_count(), n_mem))
     # forked workers write their rows into shared memory

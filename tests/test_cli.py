@@ -91,6 +91,22 @@ def test_malformed_window_is_refused_before_the_ensemble_runs(tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["ensemble", "spectrum", "balance"])
+def test_narrow_resonance_at_the_force_frequency_exit_2_before_any_member(
+        tmp_path, capsys, monkeypatch, command):
+    # tau*omega0 = 0.05, but the force integrates at omega = 2.5: tau*omega
+    # = 0.125 is past the order reduction's bound 0.1
+    calls = []
+    monkeypatch.setattr(ensemble, "rk4_core", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path / "c.json", scales=dict(SCALES, tau=0.05),
+                       force=dict(FORCE, omega0=2.5), field={"omega_cut": 5.0},
+                       ensemble=small_ensemble_section())
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert ("tau*omega = 0.125 violates the narrow-resonance bound 0.1"
+            in capsys.readouterr().err)
+    assert calls == []
+
+
 @pytest.mark.parametrize("command, sections", [
     ("ensemble", {"field": dict(FIELD, oversample=1e308)}),
     ("ensemble", {"ensemble": small_ensemble_section(n_traj=10**12)}),

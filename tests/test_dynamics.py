@@ -453,6 +453,22 @@ class TestStepGridValidation:
         with pytest.raises(sl.ConfigurationError, match="whole number"):
             sl.hierarchy_terms(sl.REF, sl.quartic(1.0, 0.1), r, 1.0, 0.0, t_span, 0.01)
 
+    def test_narrow_resonance_at_the_integrated_frequency(self):
+        # tau*omega0 = 0.05 passes PhysicalScales, but the force integrates
+        # at omega = 2.5, where the order reduction is out of its range
+        scales = sl.PhysicalScales(tau=0.05)
+        force = sl.harmonic(2.5)
+        ms = sl.build_mode_set(scales, omega_cut=5.0, total_time=1600.0)
+        r = sl.sample_realization(ms, 9)
+        match = r"tau\*omega = 0.125 violates the narrow-resonance bound 0.1"
+        with pytest.raises(sl.ConfigurationError, match=match):
+            sl.integrate_trajectory(scales, force, r, 0.0, 0.0, 1600.0, 0.016)
+        with pytest.raises(sl.ConfigurationError, match=match):
+            sl.hierarchy_terms(scales, force, r, 0.0, 0.0, 1600.0, 0.016)
+        with pytest.raises(sl.ConfigurationError, match=match):
+            sl.EnsembleConfig(scales=scales, force=force, omega_cut=5.0, n_traj=4,
+                              master_seed=9, t_span=1600.0, dt=0.016, burn_in=500.0)
+
 
 class TestZerothOrder:
     def test_equilibrium_start_stays_zero(self):

@@ -103,7 +103,7 @@ class TestRunEnsemble:
         import tracemalloc
 
         cfg = small_config(n_traj=32)
-        n_steps = ensemble._n_steps(cfg.t_span, cfg.dt)
+        n_steps = cfg.n_steps
         drive_bytes = 8 * (2 * n_steps + 1)
         report_bytes = 8 * 3 * cfg.n_members * (n_steps // cfg.decimate_stride + 1)
         peaks = []
@@ -179,6 +179,20 @@ class TestRunEnsemble:
         # the quartic from rest would otherwise finish with all-zero rows
         with pytest.raises(sl.ConfigurationError, match="dt\\*omega ="):
             small_config(scales=sl.PhysicalScales(m=1e-300), force=force)
+
+    @pytest.mark.parametrize("overrides, error, match", [
+        (dict(initial_conditions=object()), sl.ConfigurationError,
+         "unknown initial-condition spec object"),
+        (dict(n_traj=10**12), sl.ResourceLimitError, "report of"),
+        # 2*oversample*n_steps = 200000.5: the drive step dt/2 is off the comb
+        (dict(t_span=1600.0, burn_in=500.0, oversample=1.0000025), sl.ConfigurationError,
+         "drive step dt/2 0.008 lies off"),
+    ], ids=["unknown-initial-conditions", "report-past-limit", "off-comb-drive-step"])
+    def test_refused_at_construction(self, overrides, error, match):
+        # run_ensemble refuses nothing but a divergence: every other refusal
+        # comes before any member runs
+        with pytest.raises(error, match=match):
+            small_config(**overrides)
 
     def test_gaussian_initial_conditions(self):
         cfg = small_config(
