@@ -160,9 +160,11 @@ def rk4_core(scales: PhysicalScales, force: ForceModel, drive_half, x0: np.ndarr
     A linear force makes the RK4 step an affine map of the state, solved as
     one banded system (_rk4_affine); every other force steps in a loop
     (_rk4_loop) that checks finiteness every _CHECK_EVERY steps.  Each
-    thread keeps the last one set up, with the banded solve's buffers (7
-    drives' bytes), until a call with other arguments: a caller may pass
-    one member per call, while the setup costs 2/3 of one member's solve.
+    thread keeps the last one set up in its slot _last, with the banded
+    solve's buffers (7 drives' bytes), until a call with other arguments or
+    until its caller clears the slot: a caller may pass one member per
+    call, while the setup costs 2/3 of one member's solve.  An ensemble
+    clears it once its members are done (ensemble._run_members).
     """
     if store_stride < 1:
         raise ConfigurationError(f"store_stride must be >= 1, got {store_stride}")

@@ -4,10 +4,16 @@ Trajectory i draws its field phases from seed splitmix64(master_seed XOR i)
 (pairs share a seed under common-noise pairing).  Members are independent
 lanes, so for every force they are split once across forked worker
 processes (sedlab.pool).  Each process synthesizes each member's drive just
-before integrating it, once per pair under common-noise pairing, so it holds
-at most two: the one it integrates and the next.  Every reduction runs in
-index order after the workers finish -- reports are bit-identical for any
-worker count.
+before integrating it, once per pair under common-noise pairing, so while
+its members run it holds the report, one integrator and two drives: the one
+it integrates and the next.  The integrator is released with the last
+member.  Every reduction runs in index order after the workers finish --
+reports are bit-identical for any worker count.  The moment curves, the
+diffusion correlators and memory_loss's Delta read the report's rows in
+place, a block of _BLOCK columns at a time, so they add a few blocks of
+columns to the report (6 at most, measured), not whole planes; a
+stationary window is one copy of its columns.  Only a report with a
+diverged member copies its survivors' rows.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -25,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import pool
-from .dynamics import _n_steps, rk4_core, synthesize_drive
+from .dynamics import _last, _n_steps, rk4_core, synthesize_drive
 from .errors import (
     ConfigurationError,
     IntegrationDivergedError,
@@ -55,6 +61,8 @@ MAX_REPORT_BYTES = 16 * 2**30
 # shortest stationary window, in correlation times of the squared-amplitude
 # observables
 MIN_CORR_TIMES = 20.0
+# report columns per block of a moment curve's reduction
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,9 @@ class EnsembleConfig:
     """One ensemble run, refused here unless it may start (run_ensemble
     refuses only a divergence above 1%).  `omega`, the force's curvature
     frequency for mass scales.m, sets every time scale: stride, decay times
-    and fit lags; `n_steps` comes from dynamics._n_steps, once."""
+    and fit lags; `n_steps` comes from dynamics._n_steps, once, and
+    `mode_set` is the field's mode set, built once for the check and the
+    run."""
 
     scales: PhysicalScales
     force: ForceModel
@@ -99,6 +109,7 @@ class EnsembleConfig:
     initial_conditions: object = field(default_factory=FixedIC)
     omega: float = field(init=False, repr=False)
     n_steps: int = field(init=False, repr=False)
+    mode_set: ModeSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_traj < 2:
@@ -109,7 +120,9 @@ class EnsembleConfig:
         if not isinstance(ic, (FixedIC, PairedIC, GaussianIC)):
             raise ConfigurationError(f"unknown initial-condition spec {type(ic).__name__}")
         object.__setattr__(self, "omega", self.force.curvature_frequency(self.scales.m))
-        object.__setattr__(self, "n_steps", _n_steps(self.scales, self.force, self.mode_set(),
+        object.__setattr__(self, "mode_set", build_mode_set(
+            self.scales, self.omega_cut, total_time=self.t_span, oversample=self.oversample))
+        object.__setattr__(self, "n_steps", _n_steps(self.scales, self.force, self.mode_set,
                                                      self.t_span, self.dt))
         n_times = self.n_steps // self.decimate_stride + 1
         nbytes = 8 * 3 * self.n_members * n_times
@@ -136,11 +149,6 @@ class EnsembleConfig:
     def n_members(self) -> int:
         """Number of integrations (2 per pair under common-noise pairing)."""
         return 2 * self.n_traj if isinstance(self.initial_conditions, PairedIC) else self.n_traj
-
-    def mode_set(self) -> ModeSet:
-        return build_mode_set(
-            self.scales, self.omega_cut, total_time=self.t_span, oversample=self.oversample
-        )
 
     def to_dict(self) -> dict:
         ic = self.initial_conditions
@@ -211,26 +219,31 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
     pair reuses the first's) and lets rk4_core write the decimated x, p and
     drive into the member's rows of out[0], out[1] and out[2], so at most
     two drives are held, the one being integrated and the next.  rk4_core
-    sets up its integrator once for all of them, and synthesis and
-    integration stay separate calls, each profiled alone.  A member that
-    escapes or diverges gets NaN rows and is listed in the returned
-    `diverged` as (member, t_fail).
+    sets up its integrator once for all of them and keeps it in this
+    thread's slot (dynamics._last), which is cleared on return, so its
+    buffers (7 drives' bytes for the banded solve) are freed before the
+    statistics run.  Synthesis and integration stay separate calls, each
+    profiled alone.  A member that escapes or diverges gets NaN rows and is
+    listed in the returned `diverged` as (member, t_fail).
     """
     n_steps = config.n_steps
     diverged = []
     last_seed = None
-    for member in members:
-        seed = _member_seed(config, member)
-        if seed != last_seed:
-            last_seed = seed
-            # the last drive is freed once this one exists: freed first, it would
-            # be faulted back in for every member (3x the page faults on 80 members)
-            drive = synthesize_drive(sample_realization(mode_set, seed), config.dt, n_steps)
-        x0, p0 = _member_ic(config, member)
-        *_, (fail,) = rk4_core(config.scales, config.force, [drive], [x0], [p0], config.dt,
-                               n_steps, config.decimate_stride, out[:, member : member + 1])
-        if fail is not None:
-            diverged.append((member, fail[0] * config.dt))
+    try:
+        for member in members:
+            seed = _member_seed(config, member)
+            if seed != last_seed:
+                last_seed = seed
+                # the last drive is freed once this one exists: freed first, it would
+                # be faulted back in for every member (3x the page faults on 80 members)
+                drive = synthesize_drive(sample_realization(mode_set, seed), config.dt, n_steps)
+            x0, p0 = _member_ic(config, member)
+            *_, (fail,) = rk4_core(config.scales, config.force, [drive], [x0], [p0], config.dt,
+                                   n_steps, config.decimate_stride, out[:, member : member + 1])
+            if fail is not None:
+                diverged.append((member, fail[0] * config.dt))
+    finally:
+        vars(_last).clear()
     return diverged
 
 
@@ -253,36 +266,39 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     process integrates the first and forked worker processes the others,
     writing into shared memory.  A run on one CPU or without fork stays in
     this process.  Each process fills its rows of the report one member at
-    a time and holds at most two members' drives (_run_members).
+    a time and holds at most two members' drives and one integrator, which
+    it releases once its members are done (_run_members).
     No worker outlives the call.  Diverged members are excluded and
     counted; more than 1% divergence fails the run, the one refusal left
-    here: every other one comes when the EnsembleConfig is built.
+    here: every other one comes when the EnsembleConfig is built.  The
+    moment curves reduce the report's rows in place, a block of columns at
+    a time (_mean_se_curves).
     """
     n_mem = config.n_members
     stride = config.decimate_stride
     shape = (3, n_mem, config.n_steps // stride + 1)
-    mode_set = config.mode_set()
     t = config.dt * stride * np.arange(shape[2])
     parts = pool.split(range(n_mem), min(pool.cpu_count(), n_mem))
     # forked workers write their rows into shared memory
     out = _shared_empty(shape) if len(parts) > 1 else np.empty(shape)
-    diverged = sum(pool.fork_map(_run_members, (config, mode_set, out), parts), [])
+    diverged = sum(pool.fork_map(_run_members, (config, config.mode_set, out), parts), [])
 
     x, p, drive = out
     if len(diverged) > 0.01 * n_mem:
         raise IntegrationDivergedError(
             f"{len(diverged)} of {n_mem} members diverged (> 1%)"
         )
-    ok = _finite_members(x)
-    xm, pm = x[ok], p[ok]
-    h_series = pm**2 / (2 * config.scales.m) + config.force.potential(xm)
-    moments = {
-        "x": _mean_se(xm),
-        "p": _mean_se(pm),
-        "x2": _mean_se(xm**2),
-        "p2": _mean_se(pm**2),
-        "H": _mean_se(h_series),
-    }
+    xm, pm = _survivors(_finite_members(x), x, p)
+
+    def terms(cols):
+        xb, pb = xm[:, cols], pm[:, cols]
+        yield "x", xb
+        yield "p", pb
+        yield "x2", xb**2
+        yield "p2", pb**2
+        yield "H", pb**2 / (2 * config.scales.m) + config.force.potential(xb)
+
+    moments = _mean_se_curves(shape[2], terms)
     return EnsembleReport(
         config=config, t=t, x=x, p=p, drive=drive, diverged=diverged, moments=moments
     )
@@ -293,9 +309,34 @@ def _finite_members(x: np.ndarray) -> np.ndarray:
     return np.all(np.isfinite(x), axis=1)
 
 
+def _survivors(ok: np.ndarray, *planes: np.ndarray) -> tuple:
+    """The planes' rows for the members `ok` marks: the planes themselves,
+    not copied, when every member survived, else copies of the survivors'
+    rows."""
+    return planes if ok.all() else tuple(plane[ok] for plane in planes)
+
+
 def _mean_se(values: np.ndarray) -> tuple:
     """Mean over the members (axis 0) and its i.i.d. standard error."""
     return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
+
+
+def _mean_se_curves(n_cols: int, terms) -> dict:
+    """name -> (mean, standard error) over the members, per column, of each
+    (name, values) that terms(cols) yields for a slice cols of the n_cols
+    columns, reduced one block of _BLOCK columns at a time.
+
+    numpy sums axis 0 one member after another in every column, so the
+    blocks change no bit -- unless a block is one column wide, which numpy
+    sums pairwise; a last block of one column joins the one before it.
+    """
+    curves = {}
+    starts = range(0, max(n_cols - 1, 1), _BLOCK)
+    for cols in map(slice, starts, [*starts[1:], n_cols]):
+        for name, values in terms(cols):
+            mean, se = curves.setdefault(name, (np.empty(n_cols), np.empty(n_cols)))
+            mean[cols], se[cols] = _mean_se(values)
+    return curves
 
 
 def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
@@ -308,6 +349,13 @@ def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
     MIN_CORR_TIMES correlation times (StatisticsError).  Returns ((lo, hi),
     the times in the window, [each plane's rows for the members with
     finite x, cut to the window]).
+
+    Each window is one copy, in Fortran order: a member's consecutive
+    samples lie the member count apart.  The order sets the summation
+    order of every per-member time average (stationary_moments,
+    balance.measure_balance): numpy sums axis 1 of an F-ordered window one
+    sample after another, and that of a C-ordered one pairwise, which
+    moves the last bits.
     """
     cfg = report.config
     lo, hi = (cfg.burn_in, cfg.t_span) if window is None else window
@@ -333,7 +381,8 @@ def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
         )
     sl = (report.t >= lo - 1e-12) & (report.t <= hi + 1e-12)
     ok = _finite_members(report.x)
-    return (lo, hi), report.t[sl], [plane[ok][:, sl] for plane in planes]
+    cut = sl if ok.all() else np.ix_(sl, ok)
+    return (lo, hi), report.t[sl], [plane.T[cut].T for plane in planes]
 
 
 def stationary_moments(report: EnsembleReport, window: tuple[float, float] | None = None) -> dict:
@@ -381,10 +430,9 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
     cfg = report.config
     if not isinstance(cfg.initial_conditions, PairedIC):
         raise ConfigurationError("memory_loss requires common-noise paired initial conditions")
-    xa = report.x[0::2]
-    xb = report.x[1::2]
-    ok = _finite_members(xa) & _finite_members(xb)
-    delta = np.abs(xa[ok].mean(axis=0) - xb[ok].mean(axis=0))
+    xa, xb = report.x[0::2], report.x[1::2]
+    xa, xb = _survivors(_finite_members(xa) & _finite_members(xb), xa, xb)
+    delta = np.abs(xa.mean(axis=0) - xb.mean(axis=0))
     t = report.t
     if cfg.force.is_linear():
         expected = cfg.scales.tau * -cfg.force.coeffs[1] / (2 * cfg.scales.m)
@@ -404,12 +452,17 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
 def estimate_diffusion(report: EnsembleReport) -> dict:
     """Field-particle correlators D_px(t) = e<x E> and D_pp(t) = e<p E>.
 
-    Pure ensemble averages at each stored time, with i.i.d. standard errors.
+    Pure ensemble averages at each stored time, with i.i.d. standard errors,
+    reduced in place a block of columns at a time (_mean_se_curves).
     """
-    ok = _finite_members(report.x)
-    x, p, e = report.x[ok], report.p[ok], report.drive[ok]
-    dpx, dpx_se = _mean_se(x * e)
-    dpp, dpp_se = _mean_se(p * e)
+    x, p, e = _survivors(_finite_members(report.x), report.x, report.p, report.drive)
+
+    def terms(cols):
+        yield "dpx", x[:, cols] * e[:, cols]
+        yield "dpp", p[:, cols] * e[:, cols]
+
+    curves = _mean_se_curves(len(report.t), terms)
+    (dpx, dpx_se), (dpp, dpp_se) = curves["dpx"], curves["dpp"]
     return {"t": report.t, "dpx": dpx, "dpx_se": dpx_se, "dpp": dpp, "dpp_se": dpp_se}
 
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately primitive (quadrature, finite differences,
 grid eigensolvers, brute-force time integrals) and shares no code with the
-library paths it checks.  The one exception is correlation_reference, which
+library paths it checks.  The exceptions are correlation_reference, which
 synthesizes through the public eval_field_grid: it checks only how
-empirical_correlation drives the synthesis, not the synthesis itself.
+empirical_correlation drives the synthesis, not the synthesis itself; and
+moment_curves_reference, which evaluates H with the force's own potential:
+it checks only how the ensemble statistics reduce the report.
 """
 
 from __future__ import annotations
@@ -385,3 +387,42 @@ def hierarchy_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_st
                     t_fail=(j + 1) * dt,
                 )
     return out
+
+
+# ---------------------------------------------------------------------------
+# ensemble statistics as whole-plane formulas
+# ---------------------------------------------------------------------------
+
+
+def _finite(x):
+    return np.all(np.isfinite(x), axis=1)
+
+
+def _mean_se(values):
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
+
+
+def moment_curves_reference(report) -> dict:
+    """run_ensemble's moment curves, each a mean over copies of the finite
+    members' whole rows with its i.i.d. standard error."""
+    ok = _finite(report.x)
+    x, p = report.x[ok], report.p[ok]
+    h = p**2 / (2 * report.config.scales.m) + report.config.force.potential(x)
+    return {"x": _mean_se(x), "p": _mean_se(p), "x2": _mean_se(x**2),
+            "p2": _mean_se(p**2), "H": _mean_se(h)}
+
+
+def diffusion_reference(report) -> dict:
+    """estimate_diffusion's (mean, standard error) of x E and p E over
+    copies of the finite members' whole rows."""
+    ok = _finite(report.x)
+    x, p, e = report.x[ok], report.p[ok], report.drive[ok]
+    return {"dpx": _mean_se(x * e), "dpp": _mean_se(p * e)}
+
+
+def memory_delta_reference(report) -> np.ndarray:
+    """memory_loss's Delta(t) = |<x>_A - <x>_B| over copies of the rows of
+    the pairs whose two members are both finite."""
+    xa, xb = report.x[0::2], report.x[1::2]
+    ok = _finite(xa) & _finite(xb)
+    return np.abs(xa[ok].mean(axis=0) - xb[ok].mean(axis=0))

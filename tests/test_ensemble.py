@@ -1,12 +1,22 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import sedlab as sl
-from sedlab import ensemble
+from sedlab import dynamics, ensemble
 from sedlab.rng import derive_seed, splitmix64
 
-from oracles import dpx_raw_quad, stationary_oracle, switch_on_energy
+from oracles import (
+    diffusion_reference,
+    dpx_raw_quad,
+    memory_delta_reference,
+    moment_curves_reference,
+    stationary_oracle,
+    switch_on_energy,
+)
 
 
 def small_config(**overrides):
@@ -93,15 +103,13 @@ class TestRunEnsemble:
     def test_drives_resident_do_not_grow_with_members(self, monkeypatch, pin_cpus):
         # traced memory up to the end of the integration, over the report's
         # planes, in one member's drive bytes: the banded solve's band,
-        # inputs and state take 7 (none if an earlier run of the same length
-        # left them set up); the drive being integrated and the next one,
-        # which is synthesized before the first is freed, 1 each; the
-        # synthesis's spectrum 1.  Measured 10.3 in all; 12 leaves room,
-        # while drives that view two field periods beside a period buffer
-        # measured 13.3 and a run that holds all 32 members' drives at once
-        # 46.2
-        import tracemalloc
-
+        # inputs and state take 7 (set up afresh by every run, which
+        # releases them once its members are done); the drive being
+        # integrated and the next one, which is synthesized before the
+        # first is freed, 1 each; the synthesis's spectrum 1.  Measured 10.3
+        # in all; 12 leaves room, while drives that view two field periods
+        # beside a period buffer measured 13.3 and a run that holds all 32
+        # members' drives at once 46.2
         cfg = small_config(n_traj=32)
         n_steps = cfg.n_steps
         drive_bytes = 8 * (2 * n_steps + 1)
@@ -125,6 +133,60 @@ class TestRunEnsemble:
         assert len(peaks) == cfg.n_members
         assert peaks[-1] - base < report_bytes + 12 * drive_bytes, (
             (peaks[-1] - base - report_bytes) / drive_bytes)
+
+    def test_statistics_copy_no_report_plane(self, monkeypatch, pin_cpus):
+        # traced memory above the report, in plane bytes (one of x, p, drive:
+        # 128 members x 1786 samples), over three spans.  From the last
+        # rk4_core return to run_ensemble's return it is the integrator and
+        # the last drive, 0.89 (112 and 16 B a step), as the moment curves
+        # add less; copies of whole planes measured 6.0.  Across
+        # estimate_diffusion 0.39 (a block of x E and its deviations, the
+        # finiteness mask) against 5.1; across memory_loss 0.09 (the masks)
+        # against 0.52
+        cfg = small_config(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=64)
+        plane = 8 * cfg.n_members * (cfg.n_steps // cfg.decimate_stride + 1)
+        drive_bytes = 8 * (2 * cfg.n_steps + 1)
+        rk4_core = ensemble.rk4_core
+
+        def traced(*args, **kwargs):
+            result = rk4_core(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(ensemble, "rk4_core", traced)
+        pin_cpus(1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = sl.run_ensemble(cfg)
+            spans = {"run_ensemble": (tracemalloc.get_traced_memory()[1] - base) / plane - 3}
+            integrator = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, dynamics.__file__)]).statistics("filename")
+            for name in ("estimate_diffusion", "memory_loss"):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                getattr(sl, name)(report)
+                spans[name] = (tracemalloc.get_traced_memory()[1] - start) / plane
+        finally:
+            tracemalloc.stop()
+        bounds = {"run_ensemble": 1.25, "estimate_diffusion": 0.75, "memory_loss": 0.25}
+        assert all(spans[name] < bound for name, bound in bounds.items()), spans
+        # the banded solve's band alone is 4 drives' bytes
+        assert sum(stat.size for stat in integrator) < drive_bytes
+        assert not vars(dynamics._last)
+
+    def test_mode_set_built_once_per_ensemble(self, monkeypatch, pin_cpus):
+        calls = []
+        build_mode_set = ensemble.build_mode_set
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_mode_set(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "build_mode_set", counted)
+        pin_cpus(1)
+        sl.run_ensemble(small_config(n_traj=2))
+        assert len(calls) == 1
 
     def test_paired_members_share_field(self):
         cfg = small_config(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=3)
@@ -313,6 +375,57 @@ class TestMomentsAgainstOracle:
         oracle = stationary_oracle(sl.REF, 20.0)["x2"]
         se = np.sqrt(2.0 / samples.size) * oracle
         assert abs(samples.var() - oracle) < 4.0 * se
+
+
+def _diverge_first_member(monkeypatch):
+    """From here on, run_ensemble's first member diverges at step 1: NaN
+    rows and the failure record rk4_core gives a non-finite state."""
+    rk4_core = ensemble.rk4_core
+    calls = []
+
+    def diverging(*args, **kwargs):
+        xs, ps, es, fails = rk4_core(*args, **kwargs)
+        if not calls:
+            xs[:] = ps[:] = es[:] = np.nan
+            fails = [(1, 1, math.nan)]
+        calls.append(1)
+        return xs, ps, es, fails
+
+    monkeypatch.setattr(ensemble, "rk4_core", diverging)
+
+
+class TestStatisticsAgainstOracle:
+    """The ensemble statistics reduce the report's rows in place, a block of
+    columns at a time; whole-plane formulas give the same bits."""
+
+    @pytest.mark.parametrize("overrides, n_cols, diverge", [
+        (dict(), 1786, False),
+        # two blocks and one column, which joins the last block
+        (dict(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=5,
+              t_span=2 * 7 * 0.016 * ensemble._BLOCK), 2 * ensemble._BLOCK + 1, False),
+        (dict(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=5, t_span=20.0,
+              burn_in=0.0), 179, False),
+        # 100 members, of which one diverges: 1%, as many as a run may lose
+        (dict(initial_conditions=sl.PairedIC(1.0, -1.0), n_traj=50), 1786, True),
+    ], ids=["harmonic", "paired-blocks-and-one", "paired-below-one-block", "diverged-member"])
+    def test_bit_identical_to_whole_plane_formulas(self, monkeypatch, pin_cpus, overrides,
+                                                   n_cols, diverge):
+        if diverge:
+            _diverge_first_member(monkeypatch)
+        pin_cpus(1)
+        report = sl.run_ensemble(small_config(**overrides))
+        assert len(report.t) == n_cols
+        assert len(report.diverged) == diverge
+        assert np.isfinite(report.x).all() != diverge
+        for name, curves in moment_curves_reference(report).items():
+            for ours, theirs in zip(report.moments[name], curves):
+                assert np.array_equal(ours, theirs)
+        diffusion = sl.estimate_diffusion(report)
+        for name, (mean, se) in diffusion_reference(report).items():
+            assert np.array_equal(diffusion[name], mean)
+            assert np.array_equal(diffusion[f"{name}_se"], se)
+        if isinstance(report.config.initial_conditions, sl.PairedIC):
+            assert np.array_equal(sl.memory_loss(report).delta, memory_delta_reference(report))
 
 
 class TestMemoryLoss:

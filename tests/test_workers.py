@@ -91,7 +91,7 @@ def test_escaped_member_alone_matches_its_row_and_time(pin_cpus):
     report = sl.run_ensemble(cfg)
     stride = cfg.decimate_stride
     for member in (ESCAPE_MEMBER - 1, ESCAPE_MEMBER, ESCAPE_MEMBER + 1):
-        realization = sl.sample_realization(cfg.mode_set(),
+        realization = sl.sample_realization(cfg.mode_set,
                                             ensemble._member_seed(cfg, member))
         x0, p0 = ensemble._member_ic(cfg, member)
         args = (cfg.scales, cfg.force, realization, x0, p0, cfg.t_span, cfg.dt, stride)
