@@ -30,6 +30,7 @@ from .ensemble import (
     SpectrumResult,
     estimate_diffusion,
     memory_loss,
+    moment_curves,
     power_spectrum,
     run_ensemble,
     stationary_moments,

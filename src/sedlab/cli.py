@@ -37,6 +37,7 @@ from .config import (
 )
 from .ensemble import (
     estimate_diffusion,
+    moment_curves,
     power_spectrum,
     run_ensemble,
     stationary_moments,
@@ -77,12 +78,16 @@ BASIS_SIZE = 200  # default basis of diagonalize_potential (matrix, balance)
 
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> None:
+    sim = cfg["simulate"]
+    with_field = sim.get("with_field", True)
+    if with_field and "field" not in cfg:
+        raise ConfigurationError("simulate.with_field (default true) requires a 'field' "
+                                 "section; set it to false to run without the field")
     scales = build_scales(cfg)
     force = build_force(cfg)
-    sim = cfg["simulate"]
     seed = sim.get("seed", 0)
     realization = None
-    if sim.get("with_field", True) and "field" in cfg:
+    if with_field:
         mode_set = build_mode_set(scales, total_time=sim["t_span"], **cfg["field"])
         realization = sample_realization(mode_set, seed)
     traj = integrate_trajectory(
@@ -100,8 +105,9 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> None:
 def _moments_csv(out_dir: Path, report) -> Path:
     cols = [report.t]
     header = ["t"]
+    curves = moment_curves(report)
     for name in ("x", "p", "x2", "p2", "H"):
-        mean, se = report.moments[name]
+        mean, se = curves[name]
         header += [f"{name}_mean", f"{name}_se"]
         cols += [mean, se]
     path = out_dir / "moments.csv"

@@ -7,13 +7,16 @@ processes (sedlab.pool).  Each process synthesizes each member's drive just
 before integrating it, once per pair under common-noise pairing, so while
 its members run it holds the report, one integrator and two drives: the one
 it integrates and the next.  The integrator is released with the last
-member.  Every reduction runs in index order after the workers finish --
-reports are bit-identical for any worker count.  The moment curves, the
-diffusion correlators and memory_loss's Delta read the report's rows in
-place, a block of _BLOCK columns at a time, so they add a few blocks of
-columns to the report (6 at most, measured), not whole planes; a
-stationary window is one copy of its columns.  Only a report with a
-diverged member copies its survivors' rows.
+member.  run_ensemble computes no statistic: each one (moment_curves,
+stationary_moments, memory_loss, estimate_diffusion, power_spectrum) is a
+function of the report it returns and reduces over the members in index
+order, so every statistic is bit-identical for any worker count.  The
+moment curves and the diffusion correlators read the report's rows in
+place, a block of _BLOCK columns at a time (_survivor_curves), so they add a
+few blocks of columns to the report, not whole planes; memory_loss's Delta
+is a whole-column mean over strided views of the rows, in place but not
+blocked; a stationary window is one copy of its columns.  Only a report
+with a diverged member copies its survivors' rows.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -49,6 +52,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleReport",
     "run_ensemble",
+    "moment_curves",
     "stationary_moments",
     "memory_loss",
     "estimate_diffusion",
@@ -61,7 +65,7 @@ MAX_REPORT_BYTES = 16 * 2**30
 # shortest stationary window, in correlation times of the squared-amplitude
 # observables
 MIN_CORR_TIMES = 20.0
-# report columns per block of a moment curve's reduction
+# report columns per block of a curve's reduction (_mean_se_curves)
 _BLOCK = 256
 
 
@@ -169,7 +173,7 @@ class EnsembleConfig:
 
 @dataclass
 class EnsembleReport:
-    """Decimated per-trajectory series plus ensemble moment curves."""
+    """Decimated per-trajectory series of one run, and its diverged members."""
 
     config: EnsembleConfig
     t: np.ndarray
@@ -177,7 +181,6 @@ class EnsembleReport:
     p: np.ndarray
     drive: np.ndarray
     diverged: list
-    moments: dict  # name -> (mean over ensemble, standard error), arrays over t
 
     @property
     def n_members(self) -> int:
@@ -211,20 +214,20 @@ def _member_ic(config: EnsembleConfig, member: int) -> tuple[float, float]:
     return ic.x0_mean + ic.x0_sd * g1, ic.p0_mean + ic.p0_sd * g2
 
 
-def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
-                 members: range) -> list:
+def _run_members(config: EnsembleConfig, out: np.ndarray, members: range) -> list:
     """Integrate the members in `members`, a range, over config.n_steps steps.
 
-    Member by member, synthesizes the drive (the second of a common-noise
-    pair reuses the first's) and lets rk4_core write the decimated x, p and
-    drive into the member's rows of out[0], out[1] and out[2], so at most
-    two drives are held, the one being integrated and the next.  rk4_core
-    sets up its integrator once for all of them and keeps it in this
-    thread's slot (dynamics._last), which is cleared on return, so its
-    buffers (7 drives' bytes for the banded solve) are freed before the
-    statistics run.  Synthesis and integration stay separate calls, each
-    profiled alone.  A member that escapes or diverges gets NaN rows and is
-    listed in the returned `diverged` as (member, t_fail).
+    Member by member, synthesizes the drive from config.mode_set (the
+    second of a common-noise pair reuses the first's) and lets rk4_core
+    write the decimated x, p and drive into the member's rows of out[0],
+    out[1] and out[2], so at most two drives are held, the one being
+    integrated and the next.  rk4_core sets up its integrator once for all
+    of them and keeps it in this thread's slot (dynamics._last), which is
+    cleared on return, so its buffers (7 drives' bytes for the banded
+    solve) are freed before run_ensemble returns.  Synthesis and
+    integration stay separate calls, each profiled alone.  A member that
+    escapes or diverges gets NaN rows and is listed in the returned
+    `diverged` as (member, t_fail).
     """
     n_steps = config.n_steps
     diverged = []
@@ -236,7 +239,8 @@ def _run_members(config: EnsembleConfig, mode_set: ModeSet, out: np.ndarray,
                 last_seed = seed
                 # the last drive is freed once this one exists: freed first, it would
                 # be faulted back in for every member (3x the page faults on 80 members)
-                drive = synthesize_drive(sample_realization(mode_set, seed), config.dt, n_steps)
+                drive = synthesize_drive(sample_realization(config.mode_set, seed),
+                                         config.dt, n_steps)
             x0, p0 = _member_ic(config, member)
             *_, (fail,) = rk4_core(config.scales, config.force, [drive], [x0], [p0], config.dt,
                                    n_steps, config.decimate_stride, out[:, member : member + 1])
@@ -270,9 +274,9 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     it releases once its members are done (_run_members).
     No worker outlives the call.  Diverged members are excluded and
     counted; more than 1% divergence fails the run, the one refusal left
-    here: every other one comes when the EnsembleConfig is built.  The
-    moment curves reduce the report's rows in place, a block of columns at
-    a time (_mean_se_curves).
+    here: every other one comes when the EnsembleConfig is built.  The run
+    computes no statistic: each is a function of the returned report
+    (moment_curves, stationary_moments, estimate_diffusion, ...).
     """
     n_mem = config.n_members
     stride = config.decimate_stride
@@ -281,27 +285,13 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleReport:
     parts = pool.split(range(n_mem), min(pool.cpu_count(), n_mem))
     # forked workers write their rows into shared memory
     out = _shared_empty(shape) if len(parts) > 1 else np.empty(shape)
-    diverged = sum(pool.fork_map(_run_members, (config, config.mode_set, out), parts), [])
-
-    x, p, drive = out
+    diverged = sum(pool.fork_map(_run_members, (config, out), parts), [])
     if len(diverged) > 0.01 * n_mem:
         raise IntegrationDivergedError(
             f"{len(diverged)} of {n_mem} members diverged (> 1%)"
         )
-    xm, pm = _survivors(_finite_members(x), x, p)
-
-    def terms(cols):
-        xb, pb = xm[:, cols], pm[:, cols]
-        yield "x", xb
-        yield "p", pb
-        yield "x2", xb**2
-        yield "p2", pb**2
-        yield "H", pb**2 / (2 * config.scales.m) + config.force.potential(xb)
-
-    moments = _mean_se_curves(shape[2], terms)
-    return EnsembleReport(
-        config=config, t=t, x=x, p=p, drive=drive, diverged=diverged, moments=moments
-    )
+    x, p, drive = out
+    return EnsembleReport(config=config, t=t, x=x, p=p, drive=drive, diverged=diverged)
 
 
 def _finite_members(x: np.ndarray) -> np.ndarray:
@@ -321,6 +311,16 @@ def _mean_se(values: np.ndarray) -> tuple:
     return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
 
 
+def _survivor_curves(report: EnsembleReport, terms, *planes: np.ndarray) -> dict:
+    """name -> (mean, standard error) over the surviving members, per
+    column, of each (name, values) that terms(*blocks) yields, where blocks
+    are the survivors' rows of the report's `planes` cut to one block of
+    columns (_mean_se_curves)."""
+    planes = _survivors(_finite_members(report.x), *planes)
+    return _mean_se_curves(len(report.t),
+                           lambda cols: terms(*(plane[:, cols] for plane in planes)))
+
+
 def _mean_se_curves(n_cols: int, terms) -> dict:
     """name -> (mean, standard error) over the members, per column, of each
     (name, values) that terms(cols) yields for a slice cols of the n_cols
@@ -337,6 +337,21 @@ def _mean_se_curves(n_cols: int, terms) -> dict:
             mean, se = curves.setdefault(name, (np.empty(n_cols), np.empty(n_cols)))
             mean[cols], se[cols] = _mean_se(values)
     return curves
+
+
+def moment_curves(report: EnsembleReport) -> dict:
+    """Ensemble moment curves over the stored times: name -> (mean, standard
+    error) for x, p, x2, p2 and H, over the members with finite rows."""
+    m, force = report.config.scales.m, report.config.force
+
+    def terms(x, p):
+        yield "x", x
+        yield "p", p
+        yield "x2", x**2
+        yield "p2", p**2
+        yield "H", p**2 / (2 * m) + force.potential(x)
+
+    return _survivor_curves(report, terms, report.x, report.p)
 
 
 def _stationary(report: EnsembleReport, window: tuple[float, float] | None,
@@ -452,16 +467,15 @@ def memory_loss(report: EnsembleReport) -> MemoryLossResult:
 def estimate_diffusion(report: EnsembleReport) -> dict:
     """Field-particle correlators D_px(t) = e<x E> and D_pp(t) = e<p E>.
 
-    Pure ensemble averages at each stored time, with i.i.d. standard errors,
-    reduced in place a block of columns at a time (_mean_se_curves).
+    Pure ensemble averages at each stored time over the members with finite
+    rows, with i.i.d. standard errors, reduced a block of columns at a time
+    (_survivor_curves).
     """
-    x, p, e = _survivors(_finite_members(report.x), report.x, report.p, report.drive)
+    def terms(x, p, e):
+        yield "dpx", x * e
+        yield "dpp", p * e
 
-    def terms(cols):
-        yield "dpx", x[:, cols] * e[:, cols]
-        yield "dpp", p[:, cols] * e[:, cols]
-
-    curves = _mean_se_curves(len(report.t), terms)
+    curves = _survivor_curves(report, terms, report.x, report.p, report.drive)
     (dpx, dpx_se), (dpp, dpp_se) = curves["dpx"], curves["dpp"]
     return {"t": report.t, "dpx": dpx, "dpx_se": dpx_se, "dpp": dpp, "dpp_se": dpp_se}
 

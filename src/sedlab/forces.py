@@ -6,7 +6,9 @@ is fixed by V(equilibrium) = 0; only energy differences matter.  The
 coefficients of f'' and f''' are cached too (_c2, _c3).  The step loops that
 dynamics emits (dynamics._rk4_lane over _c0 and _c1, dynamics._hierarchy_lane
 over all four) unroll Horner's rule over them, holding each coefficient as a
-value.
+value.  The coefficients of -int_0^x f, the potential before its constant,
+are derived once too (_v), for ForceModel.potential and the matrix layer's
+Hamiltonian.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class ForceModel:
         object.__setattr__(self, "_c1", tuple(_polyder(c)))
         object.__setattr__(self, "_c2", tuple(_polyder(_polyder(c))))
         object.__setattr__(self, "_c3", tuple(_polyder(_polyder(_polyder(c)))))
+        # coefficients of -int_0^x f, the potential before its constant
+        object.__setattr__(self, "_v", tuple(-np.polynomial.polynomial.polyint(c)))
 
     @property
     def _c(self) -> np.ndarray:
@@ -75,9 +79,7 @@ class ForceModel:
 
     def potential(self, x):
         """V(x) = -int_0^x f + const, with V(equilibrium) = 0."""
-        vc = tuple(-np.polynomial.polynomial.polyint(self._c))
-        x_eq = self.equilibrium()
-        return _polyval(vc, x) - _polyval(vc, x_eq)
+        return _polyval(self._v, x) - _polyval(self._v, self.equilibrium())
 
     def equilibrium(self) -> float:
         """Unique stable zero of f (f = 0, f' < 0); rejects multi-well models."""

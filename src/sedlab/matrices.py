@@ -124,7 +124,7 @@ def _hamiltonian(scales: PhysicalScales, force: ForceModel, basis_size: int):
     hbar, m = scales.hbar, scales.m
     x_eq = force.equilibrium()
     omega_b = force.curvature_frequency(m)
-    v_coeffs = -np.polynomial.polynomial.polyint(np.asarray(force.coeffs))
+    v_coeffs = np.array(force._v)
     v_coeffs[0] -= np.polynomial.polynomial.polyval(x_eq, v_coeffs)  # V(x_eq) = 0
     deg = len(v_coeffs) - 1
     work = basis_size + deg + 2

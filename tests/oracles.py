@@ -403,7 +403,7 @@ def _mean_se(values):
 
 
 def moment_curves_reference(report) -> dict:
-    """run_ensemble's moment curves, each a mean over copies of the finite
+    """moment_curves' curves, each a mean over copies of the finite
     members' whole rows with its i.i.d. standard error."""
     ok = _finite(report.x)
     x, p = report.x[ok], report.p[ok]

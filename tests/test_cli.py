@@ -224,10 +224,27 @@ class TestSimulateCommand:
         assert rc == 2
         assert "dt*omega =" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_field", [{"with_field": True}, {}],
+                             ids=["given", "default"])
+    def test_field_without_section_exit_2_before_anything_runs(
+            self, tmp_path, capsys, monkeypatch, with_field):
+        # an all-zero drive would stand in for the missing field
+        calls = []
+        monkeypatch.setattr(cli, "integrate_trajectory", lambda *args, **kw: calls.append(args))
+        cfg = write_config(
+            tmp_path / "c.json", scales=SCALES, force=FORCE,
+            simulate=dict({"x0": 0.0, "p0": 0.0, "t_span": 10.0, "dt": 0.016}, **with_field),
+        )
+        rc = cli.main(["simulate", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "requires a 'field' section" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_store_stride_zero_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
-            scales=SCALES, force=FORCE,
+            scales=SCALES, force=FORCE, field=FIELD,
             simulate={"x0": 1.0, "p0": 0.0, "t_span": 10.0, "dt": 0.016,
                       "store_stride": 0},
         )

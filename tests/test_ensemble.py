@@ -75,14 +75,16 @@ class TestRunEnsemble:
         cfg = small_config(**overrides)
         pin_cpus(1)
         ref = sl.run_ensemble(cfg)
+        ref_curves = sl.moment_curves(ref)
         for workers in (1, 2, 4):
             pin_cpus(workers)
             rep = sl.run_ensemble(cfg)
             for series in ("x", "p", "drive"):
                 assert np.array_equal(getattr(rep, series), getattr(ref, series))
             assert rep.diverged == ref.diverged == []
-            for name in ref.moments:
-                for ours, theirs in zip(rep.moments[name], ref.moments[name]):
+            curves = sl.moment_curves(rep)
+            for name in ref_curves:
+                for ours, theirs in zip(curves[name], ref_curves[name]):
                     assert np.array_equal(ours, theirs)
 
     @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.quartic(1.0, 0.1)],
@@ -136,10 +138,11 @@ class TestRunEnsemble:
 
     def test_statistics_copy_no_report_plane(self, monkeypatch, pin_cpus):
         # traced memory above the report, in plane bytes (one of x, p, drive:
-        # 128 members x 1786 samples), over three spans.  From the last
+        # 128 members x 1786 samples), over four spans.  From the last
         # rk4_core return to run_ensemble's return it is the integrator and
-        # the last drive, 0.89 (112 and 16 B a step), as the moment curves
-        # add less; copies of whole planes measured 6.0.  Across
+        # the last drive, 0.89 (112 and 16 B a step): the run reduces
+        # nothing.  Across moment_curves 0.80 (a block of H's terms and its
+        # deviations) against 6.0 for whole-plane curves; across
         # estimate_diffusion 0.39 (a block of x E and its deviations, the
         # finiteness mask) against 5.1; across memory_loss 0.09 (the masks)
         # against 0.52
@@ -162,18 +165,31 @@ class TestRunEnsemble:
             spans = {"run_ensemble": (tracemalloc.get_traced_memory()[1] - base) / plane - 3}
             integrator = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.Filter(True, dynamics.__file__)]).statistics("filename")
-            for name in ("estimate_diffusion", "memory_loss"):
+            for name in ("moment_curves", "estimate_diffusion", "memory_loss"):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 getattr(sl, name)(report)
                 spans[name] = (tracemalloc.get_traced_memory()[1] - start) / plane
         finally:
             tracemalloc.stop()
-        bounds = {"run_ensemble": 1.25, "estimate_diffusion": 0.75, "memory_loss": 0.25}
+        bounds = {"run_ensemble": 1.25, "moment_curves": 1.0, "estimate_diffusion": 0.75,
+                  "memory_loss": 0.25}
         assert all(spans[name] < bound for name, bound in bounds.items()), spans
         # the banded solve's band alone is 4 drives' bytes
         assert sum(stat.size for stat in integrator) < drive_bytes
         assert not vars(dynamics._last)
+
+    def test_runs_no_reduction(self, monkeypatch):
+        # the report is returned as the members left it; a statistic is
+        # computed only when a caller asks for it
+        def refuse(*args):
+            raise AssertionError("run_ensemble reduced the report")
+
+        monkeypatch.setattr(ensemble, "_mean_se_curves", refuse)
+        report = sl.run_ensemble(small_config(n_traj=2))
+        assert report.diverged == [] and np.isfinite(report.x).all()
+        with pytest.raises(AssertionError, match="reduced the report"):
+            sl.moment_curves(report)
 
     def test_mode_set_built_once_per_ensemble(self, monkeypatch, pin_cpus):
         calls = []
@@ -309,7 +325,7 @@ class TestMomentsAgainstOracle:
     def test_mean_position_is_zero(self, ref_ensemble_report):
         rep = ref_ensemble_report
         sl_win = rep.t >= rep.config.burn_in
-        mean, se = rep.moments["x"]
+        mean, se = sl.moment_curves(rep)["x"]
         z = np.abs(mean[sl_win]) / se[sl_win]
         # pointwise z-scores behave like |N(0,1)|: allow the rare 3-sigma tail
         assert np.mean(z > 3.0) < 0.01
@@ -417,8 +433,9 @@ class TestStatisticsAgainstOracle:
         assert len(report.t) == n_cols
         assert len(report.diverged) == diverge
         assert np.isfinite(report.x).all() != diverge
+        moments = sl.moment_curves(report)
         for name, curves in moment_curves_reference(report).items():
-            for ours, theirs in zip(report.moments[name], curves):
+            for ours, theirs in zip(moments[name], curves):
                 assert np.array_equal(ours, theirs)
         diffusion = sl.estimate_diffusion(report)
         for name, (mean, se) in diffusion_reference(report).items():
@@ -492,7 +509,7 @@ class TestDiffusionEstimates:
         t = d["t"]
         assert d["dpx"][0] == 0.0
         assert d["dpp"][0] == 0.0
-        h_mean, _ = rep.moments["H"]
+        h_mean, _ = sl.moment_curves(rep)["H"]
         windows = [(0.5, 10.0), (40.0, 60.0), (280.0, 320.0), (900.0, 1100.0)]
         h_inf = stationary_oracle(sl.REF, 20.0)["H"]
         theory = []
@@ -545,8 +562,7 @@ class TestPowerSpectrum:
         row = {"zero": np.zeros_like(t), "constant": np.ones_like(t),
                "alternating": (-1.0) ** np.arange(t.size)}[shape]
         x = np.vstack([row, 0.5 * row])
-        report = sl.EnsembleReport(config=cfg, t=t, x=x, p=x, drive=None,
-                                   diverged=[], moments={})
+        report = sl.EnsembleReport(config=cfg, t=t, x=x, p=x, drive=None, diverged=[])
         with pytest.raises(sl.StatisticsError):
             sl.power_spectrum(report)
 
