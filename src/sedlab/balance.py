@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleReport, _mean_se, _stationary
+from .ensemble import _MEMBER_BLOCK, EnsembleReport, _blocks, _mean_se, _stationary
 from .errors import ConfigurationError
 from .matrices import TransitionMatrix, _check_trusted
 from .zpf import PhysicalScales
@@ -78,21 +78,28 @@ def measure_balance(report: EnsembleReport, window: tuple[float, float] | None =
 
     For the order-reduced equation radiated + absorbed integrates to dH/dt
     exactly, so at stationarity the two cancel within error.
+
+    The per-trajectory values are computed a block of _MEMBER_BLOCK members
+    at a time, in member order, over row slices of the window
+    (ensemble._blocks); each member's time average sums its samples in the
+    window's order, so the blocks change no bit.
     """
     window, t, (x, p, e) = _stationary(report, window, report.x, report.p, report.drive)
     cfg = report.config
     m = cfg.scales.m
     tau = cfg.scales.tau
 
-    rad_i = (tau / m * cfg.force.fp(x) * p * (p / m)).mean(axis=1)
-    abs_i = (p * e).mean(axis=1) / m
-    h_series = p**2 / (2 * m) + cfg.force.potential(x)
     tc = t - t.mean()
-    drift_i = (h_series * tc).sum(axis=1) / (tc**2).sum()
+    tc2 = (tc**2).sum()
+    per = np.empty((3, len(x)))  # radiated, absorbed and drift per trajectory
+    for rows in _blocks(len(x), _MEMBER_BLOCK):
+        xb, pb = x[rows], p[rows]
+        per[0, rows] = (tau / m * cfg.force.fp(xb) * pb * (pb / m)).mean(axis=1)
+        per[1, rows] = (pb * e[rows]).mean(axis=1) / m
+        h_series = pb**2 / (2 * m) + cfg.force.potential(xb)
+        per[2, rows] = (h_series * tc).sum(axis=1) / tc2
 
-    rad, rad_se = map(float, _mean_se(rad_i))
-    ab, ab_se = map(float, _mean_se(abs_i))
-    dr, dr_se = map(float, _mean_se(drift_i))
+    (rad, rad_se), (ab, ab_se), (dr, dr_se) = (map(float, _mean_se(v)) for v in per)
     return BalanceReport(
         radiated=rad, radiated_se=rad_se, absorbed=ab, absorbed_se=ab_se,
         net_drift=dr, net_drift_se=dr_se, window=window,

@@ -19,8 +19,9 @@ bit-identical to a vectorized numpy loop over the batch, and a member's
 trajectory never depends on the other members of its batch.  For a linear
 force (the harmonic reference included) one RK4 step is an affine map of
 (x, p), read off that same step loop, so the same discretization is run as
-one real banded triangular solve over all steps instead; it agrees with the
-loop to rounding (about 1e-12 relative).  The variational hierarchy
+a real banded triangular solve instead, in windows of _WINDOW steps that
+give the bits of one solve over all steps; it agrees with the loop to
+rounding (about 1e-12 relative).  The variational hierarchy
 (hierarchy_terms) steps its six variables on Python floats the same way,
 bit-identical to a numpy loop of the same expressions.
 
@@ -73,6 +74,7 @@ __all__ = [
 _MAX_DT_OMEGA_CUT = 0.35  # >= 18 steps per period of the fastest mode
 _MAX_DT_OMEGA0 = 0.05
 _CHECK_EVERY = 256  # finiteness check cadence of the step loop
+_WINDOW = 16_384  # steps of one banded solve (_rk4_affine)
 # hard limit on the steps of one integration: its half-step drive of
 # 2*MAX_STEPS + 1 float64 samples takes 1.6 GB
 MAX_STEPS = 100_000_000
@@ -161,9 +163,10 @@ def rk4_core(scales: PhysicalScales, force: ForceModel, drive_half, x0: np.ndarr
     one banded system (_rk4_affine); every other force steps in a loop
     (_rk4_loop) that checks finiteness every _CHECK_EVERY steps.  Each
     thread keeps the last one set up in its slot _last, with the banded
-    solve's buffers (7 drives' bytes), until a call with other arguments or
-    until its caller clears the slot: a caller may pass one member per
-    call, while the setup costs 2/3 of one member's solve.  An ensemble
+    solve's buffers (one window: at most 1.8 MB, whatever n_steps is), until
+    a call with other arguments or until its caller clears the slot: a
+    caller may pass one member per call, and the setup (the compiled probe
+    step and the band) would otherwise be repeated for each.  An ensemble
     clears it once its members are done (ensemble._run_members).
     """
     if store_stride < 1:
@@ -316,7 +319,7 @@ def _raise(fail, bound, dt: float):
 
 
 def _rk4_affine(scales, force, dt, n_steps, store_stride):
-    """rk4_core's integration for a linear force, as one banded solve of the
+    """rk4_core's integration for a linear force, as banded solves of the
     RK4 recurrence per member; returns run(e, xs, ps) as _rk4_loop does.
 
     With f linear, one step is s[j] = M s[j-1] + B u[j] + c for s = (x, p)
@@ -325,7 +328,21 @@ def _rk4_affine(scales, force, dt, n_steps, store_stride):
     the loop, with rounding in another order.  With the states interleaved
     as (x1, p1, x2, p2, ...), s[j] - M s[j-1] = B u[j] + c is a real unit
     lower-triangular system with three subdiagonals, solved in place by
-    BLAS dtbsv; the probes, band and buffers serve every member it runs.
+    BLAS dtbsv.
+
+    The system is solved in windows of _WINDOW steps (the last one takes
+    up to _WINDOW + 1, so that no window but a one-step run's has one
+    step: numpy hands a one-row product to gemv, which rounds otherwise
+    than gemm).  A window after the first starts with two rows holding the
+    previous window's last (x, p), with that state as their right-hand
+    side.  An even column (an x) has no entry on the first subdiagonal, so
+    nothing lies below the diagonal in those two rows, they reproduce the
+    state exactly, and dtbsv computes every later row from the same
+    operands, in the same order, as one solve over all steps would: the
+    windows change no bit.  The probes, band and buffers, about 1.8 MB
+    whatever n_steps is, serve every member it runs; each window writes its
+    stored rows into xs and ps and is checked for a failure before the
+    next one runs.
     """
     # probe column k sets the k-th of (x, p, e0, e1/2, e1) to one; the last
     # probe is the zero state, whose image is c.  A probe step that is not
@@ -340,33 +357,57 @@ def _rk4_affine(scales, force, dt, n_steps, store_stride):
     cols = images[:, :5] - c[:, None]  # [M | B]
     step_map = cols[:, :2]
     weights = np.vstack([cols[:, 2:].T, c])  # (e0, e1/2, e1, 1) -> (x, p)
+    window = _WINDOW
+    width = min(n_steps, window + 1)  # steps of the longest window
     # lower band storage, A[i, k] at band[i - k, k]: even columns multiply
-    # an x, odd ones a p; the unit diagonal (row 0) is not read
-    band = np.zeros((4, 2 * n_steps), order="F")
+    # an x, odd ones a p; the unit diagonal (row 0) is not read.  The first
+    # two columns belong to the state before the window
+    band = np.zeros((4, 2 * width + 2), order="F")
     band[2, 0::2], band[3, 0::2] = -step_map[:, 0]
     band[1, 1::2], band[2, 1::2] = -step_map[:, 1]
-    # buffers reused by every member: a fresh one of this size per member
-    # would be a fresh mmap, and page faults would cost more than the solve
-    inputs = np.empty((n_steps, 4))
+    # buffers reused by every member: a fresh one per member would be a
+    # fresh mmap, and page faults would cost more than the solve
+    inputs = np.empty((width, 4))
     inputs[:, 3] = 1.0
-    state = np.empty((n_steps, 2))  # (x, p) after steps 1..n_steps
+    state = np.empty((width + 1, 2))  # (x, p) before the window, then after its steps
     bound = force.escape_bound
 
     def run(e, xs, ps):
-        inputs[:, 0], inputs[:, 1], inputs[:, 2] = e[0:-1:2], e[1::2], e[2::2]
-        np.matmul(inputs, weights, out=state)
-        state[0] += step_map @ (xs[0], ps[0])
-        dtbsv(3, band, state.reshape(-1), lower=1, diag=1, overwrite_x=1)
-        xs[1:] = state[store_stride - 1 :: store_stride, 0]
-        ps[1:] = state[store_stride - 1 :: store_stride, 1]
-        return _first_failure(state, bound)
+        start = 0
+        while start < n_steps:
+            size = n_steps - start if n_steps - start <= window + 1 else window
+            if start:
+                state[0] = state[window]
+            rows = state[: size + 1]
+            steps = e[2 * start : 2 * (start + size) + 1]
+            inputs[:size, 0], inputs[:size, 1], inputs[:size, 2] = (
+                steps[0:-1:2], steps[1::2], steps[2::2])
+            np.matmul(inputs[:size], weights, out=rows[1:])
+            # the first window starts from (xs[0], ps[0]) on its right-hand
+            # side, as one solve over all steps does, not from a state row
+            skip = 0 if start else 1
+            if not start:
+                rows[1] += step_map @ (xs[0], ps[0])
+            dtbsv(3, band[:, 2 * skip : 2 * size + 2], rows[skip:].reshape(-1), lower=1,
+                  diag=1, overwrite_x=1)
+            # stored steps of this window: the multiples of store_stride in
+            # start+1 .. start+size, at rows (step - start)
+            first = (start // store_stride + 1) * store_stride
+            out = slice(first // store_stride, (start + size) // store_stride + 1)
+            xs[out] = rows[first - start :: store_stride, 0]
+            ps[out] = rows[first - start :: store_stride, 1]
+            fail = _first_failure(rows[1:], bound)
+            if fail is not None:
+                return fail[0] + start, *fail[1:]
+            start += size
+        return None
 
     return run
 
 
 def _first_failure(state, bound):
-    """One member's first failure (step, kind, |x|) in its (n_steps, 2) series
-    of (x, p).
+    """One member's first failure (step, kind, |x|) in a (steps, 2) series of
+    its (x, p) after steps 1, 2, ... of the series.
 
     Returns None when there is none; kind 0 is an escape and 1 a non-finite
     state, as the loop orders them at one step, and |x| is NaN for kind 1

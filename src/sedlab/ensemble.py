@@ -6,17 +6,21 @@ lanes, so for every force they are split once across forked worker
 processes (sedlab.pool).  Each process synthesizes each member's drive just
 before integrating it, once per pair under common-noise pairing, so while
 its members run it holds the report, one integrator and two drives: the one
-it integrates and the next.  The integrator is released with the last
-member.  run_ensemble computes no statistic: each one (moment_curves,
-stationary_moments, memory_loss, estimate_diffusion, power_spectrum) is a
-function of the report it returns and reduces over the members in index
-order, so every statistic is bit-identical for any worker count.  The
-moment curves and the diffusion correlators read the report's rows in
-place, a block of _BLOCK columns at a time (_survivor_curves), so they add a
-few blocks of columns to the report, not whole planes; memory_loss's Delta
-is a whole-column mean over strided views of the rows, in place but not
-blocked; a stationary window is one copy of its columns.  Only a report
-with a diverged member copies its survivors' rows.
+it integrates and the next.  A linear force's integrator is one window of
+its banded solve, at most 1.8 MB for a run of any length (dynamics._WINDOW).
+The integrator is released with the last member.  run_ensemble computes no
+statistic: each one (moment_curves, stationary_moments, memory_loss,
+estimate_diffusion, power_spectrum) is a function of the report it returns
+and reduces over the members in index order, so every statistic is
+bit-identical for any worker count.  The moment curves and the diffusion
+correlators read the report's rows in place, a block of _BLOCK columns at a
+time (_survivor_curves), so they add a few blocks of columns to the report,
+not whole planes; memory_loss's Delta is a whole-column mean over strided
+views of the rows, in place but not blocked; a stationary window is one
+copy of its columns, whose rows measure_balance and power_spectrum's
+envelope fit transform a block of _MEMBER_BLOCK members at a time, in
+member order (_blocks, _pairwise_sum).  Only a report with a diverged
+member copies its survivors' rows.
 
 Error bars: the ensemble members are independent by construction, so every
 stationary estimate is formed per trajectory first (a window time-average)
@@ -67,6 +71,9 @@ MAX_REPORT_BYTES = 16 * 2**30
 MIN_CORR_TIMES = 20.0
 # report columns per block of a curve's reduction (_mean_se_curves)
 _BLOCK = 256
+# members per block of the stationary reductions that transform a window's
+# rows (balance.measure_balance, _envelope_rate)
+_MEMBER_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -223,11 +230,11 @@ def _run_members(config: EnsembleConfig, out: np.ndarray, members: range) -> lis
     out[1] and out[2], so at most two drives are held, the one being
     integrated and the next.  rk4_core sets up its integrator once for all
     of them and keeps it in this thread's slot (dynamics._last), which is
-    cleared on return, so its buffers (7 drives' bytes for the banded
-    solve) are freed before run_ensemble returns.  Synthesis and
-    integration stay separate calls, each profiled alone.  A member that
-    escapes or diverges gets NaN rows and is listed in the returned
-    `diverged` as (member, t_fail).
+    cleared on return, so its buffers (for a linear force one window of the
+    banded solve, at most 1.8 MB) are freed before run_ensemble returns.
+    Synthesis and integration stay separate calls, each profiled alone.  A
+    member that escapes or diverges gets NaN rows and is listed in the
+    returned `diverged` as (member, t_fail).
     """
     n_steps = config.n_steps
     diverged = []
@@ -321,18 +328,28 @@ def _survivor_curves(report: EnsembleReport, terms, *planes: np.ndarray) -> dict
                            lambda cols: terms(*(plane[:, cols] for plane in planes)))
 
 
+def _blocks(n: int, size: int):
+    """Slices of `size` indices covering range(n) in order, a last one of one
+    index joining the one before (a single slice(0, n) when n <= size + 1).
+
+    numpy sums over the members (axis 0 of a row-major array) or over a
+    window's samples (axis 1 of a column-major one) one term after another,
+    so a block of rows or columns sums as the whole array does -- unless
+    the block is one row or column wide: that array is contiguous along the
+    summed axis, and numpy sums it pairwise.
+    """
+    starts = range(0, max(n - 1, 1), size)
+    return map(slice, starts, [*starts[1:], n])
+
+
 def _mean_se_curves(n_cols: int, terms) -> dict:
     """name -> (mean, standard error) over the members, per column, of each
     (name, values) that terms(cols) yields for a slice cols of the n_cols
-    columns, reduced one block of _BLOCK columns at a time.
-
-    numpy sums axis 0 one member after another in every column, so the
-    blocks change no bit -- unless a block is one column wide, which numpy
-    sums pairwise; a last block of one column joins the one before it.
+    columns, reduced one block of _BLOCK columns at a time (_blocks), which
+    changes no bit.
     """
     curves = {}
-    starts = range(0, max(n_cols - 1, 1), _BLOCK)
-    for cols in map(slice, starts, [*starts[1:], n_cols]):
+    for cols in _blocks(n_cols, _BLOCK):
         for name, values in terms(cols):
             mean, se = curves.setdefault(name, (np.empty(n_cols), np.empty(n_cols)))
             mean[cols], se[cols] = _mean_se(values)
@@ -509,8 +526,7 @@ def power_spectrum(report: EnsembleReport, window: tuple[float, float] | None = 
     if L < 64:
         raise StatisticsError("window too short for the requested spectral resolution")
     dts = report.t[1] - report.t[0]
-    spec = np.fft.rfft(x, axis=1)
-    per = (np.abs(spec) ** 2) * (dts / (2 * np.pi * L))
+    per = (np.abs(np.fft.rfft(x, axis=1)) ** 2) * (dts / (2 * np.pi * L))
     # one-sided: every bin but DC is doubled; an even L's Nyquist bin, which
     # is unique like DC, is halved back
     per[:, 1:] *= 2.0
@@ -561,11 +577,21 @@ def _envelope_rate(x: np.ndarray, dts: float, cfg: EnsembleConfig) -> float:
     as exp(-rate*u); the fitted rate equals half the Lorentzian FWHM.  The
     fit runs over lags from one period 2 pi/omega, past the lag-0 broadband
     spike, to 4 energy-decay times (at most 0.8 of the window).
+
+    The members' zero-padded spectra are transformed a block of
+    _MEMBER_BLOCK rows of x at a time (_blocks), and their squared moduli
+    are summed in the order of the whole-window mean over members
+    (_pairwise_sum), so the blocks change no bit and at most eight rows of
+    sums and one block's spectra are held.
     """
     n, L = x.shape
     nfft = 1 << int(np.ceil(np.log2(2 * L)))
-    spec = np.fft.rfft(x, nfft, axis=1)
-    ac = np.fft.irfft((np.abs(spec) ** 2).mean(axis=0), nfft)[:L] / L
+
+    def terms():
+        for rows in _blocks(n, _MEMBER_BLOCK):
+            yield from np.abs(np.fft.rfft(x[rows], nfft, axis=1)) ** 2
+
+    ac = np.fft.irfft(_pairwise_sum(terms(), n) / n, nfft)[:L] / L
     u = dts * np.arange(L)
     # remove the triangular bias of the fixed-denominator autocovariance,
     # (L-k)/L, which would otherwise inflate the fitted decay rate by ~1/T
@@ -576,6 +602,35 @@ def _envelope_rate(x: np.ndarray, dts: float, cfg: EnsembleConfig) -> float:
     if fit is None:
         raise StatisticsError("window too short to fit the autocorrelation envelope")
     return float(-fit[0])
+
+
+def _pairwise_sum(terms, n: int):
+    """Sum of the next n arrays that the iterator `terms` yields, in the order
+    of numpy's pairwise summation of n contiguous values, which is how
+    np.add.reduce sums the contiguous axis 0 of a column-major array, such
+    as the members of rfft's spectra of a stationary window's rows.
+
+    Below 8 terms they are added one after another to 0.0; up to 128,
+    every eighth term goes to one of eight running sums, which are added
+    as a tree, and the last n % 8 follow one after another; beyond 128,
+    the two halves split at the multiple of 8 below n/2 are each summed so.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms, half) + _pairwise_sum(terms, n - half)
+    if n < 8:
+        total = 0.0
+        for _ in range(n):
+            total = total + next(terms)
+        return total
+    sums = [next(terms).copy() for _ in range(8)]
+    for i in range(8, n - n % 8):
+        sums[i % 8] += next(terms)
+    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) +
+                                                           (sums[6] + sums[7]))
+    for _ in range(n % 8):
+        total += next(terms)
+    return total
 
 
 def _peak_fit(t: np.ndarray, y: np.ndarray, inside: np.ndarray):

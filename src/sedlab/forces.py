@@ -8,7 +8,8 @@ dynamics emits (dynamics._rk4_lane over _c0 and _c1, dynamics._hierarchy_lane
 over all four) unroll Horner's rule over them, holding each coefficient as a
 value.  The coefficients of -int_0^x f, the potential before its constant,
 are derived once too (_v), for ForceModel.potential and the matrix layer's
-Hamiltonian.
+Hamiltonian, and the constant is found once per model, by the first
+potential call (_v_eq).
 """
 
 from __future__ import annotations
@@ -78,8 +79,15 @@ class ForceModel:
         return _polyval(self._c1, x)
 
     def potential(self, x):
-        """V(x) = -int_0^x f + const, with V(equilibrium) = 0."""
-        return _polyval(self._v, x) - _polyval(self._v, self.equilibrium())
+        """V(x) = -int_0^x f + const, with V(equilibrium) = 0.
+
+        The constant, -int_0^x* f at the equilibrium x*, is found by the
+        first call and kept on the model; a model without one stable
+        equilibrium constructs and is refused here (ConfigurationError).
+        """
+        if "_v_eq" not in vars(self):
+            object.__setattr__(self, "_v_eq", _polyval(self._v, self.equilibrium()))
+        return _polyval(self._v, x) - self._v_eq
 
     def equilibrium(self) -> float:
         """Unique stable zero of f (f = 0, f' < 0); rejects multi-well models."""

@@ -9,7 +9,9 @@ asserted on an inner "trusted" block; the default margin is n_states/5.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,6 +33,50 @@ __all__ = [
 # hard limit on a basis (basis_size, or the oscillator's n_states): one
 # complex matrix of that order takes 256 MB
 MAX_BASIS_SIZE = 4000
+
+
+# (get, set) thread-count functions of a loaded OpenBLAS: numpy's copy,
+# scipy's copy, a plain build
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, and restore each library's
+    thread count afterwards.
+
+    OpenBLAS splits a call's work by its thread count, and the split can
+    move the last bits: on two threads the quartic's basis of 200
+    diagonalized to other bits than on one.  Each OpenBLAS this process has
+    loaded (numpy and scipy ship one each) is found in /proc/self/maps;
+    where there is none, or no such file, this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        paths = []
+    restore = []
+    try:
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for names in _BLAS_THREAD_FUNCTIONS:
+                if all(hasattr(lib, name) for name in names):
+                    get, put = (getattr(lib, name) for name in names)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    restore.append((put, get()))
+                    put(1)
+                    break
+        yield
+    finally:
+        for put, count in restore:
+            put(count)
 
 
 def _check_basis(name: str, size: int) -> None:
@@ -147,25 +193,28 @@ def diagonalize_potential(
     Keeps the lowest n_states = basis_size // 4 states (truncation margin for
     variational convergence) and transforms x and p to the eigenbasis.
     Raises ConvergenceError when E_0 still shifts by more than 1e-8 under a
-    basis_size -> basis_size + 20 refinement.
+    basis_size -> basis_size + 20 refinement.  Runs on one BLAS thread
+    (_one_blas_thread), so its bits do not depend on the CPU count.
     """
     if basis_size < 8:
         raise ConfigurationError("basis_size must be >= 8")
     _check_basis("basis_size", basis_size)
     if not force.is_confining():
         raise ConfigurationError("potential is not confining; diagonalization refused")
-    h, x, p = _hamiltonian(scales, force, basis_size)
-    energies, u = eigh(h)
-    e_check = np.linalg.eigvalsh(_hamiltonian(scales, force, basis_size + 20)[0])
-    if abs(e_check[0] - energies[0]) > 1e-8:
-        raise ConvergenceError(
-            f"ground state not converged: E0 shifts by {abs(e_check[0] - energies[0]):.3e} "
-            f"for basis {basis_size} -> {basis_size + 20}"
-        )
-    n_states = basis_size // 4
-    uk = u[:, :n_states]
-    x_e = uk.T @ x @ uk
-    p_e = uk.conj().T @ p @ uk
+    with _one_blas_thread():
+        h, x, p = _hamiltonian(scales, force, basis_size)
+        energies, u = eigh(h)
+        e_check = np.linalg.eigvalsh(_hamiltonian(scales, force, basis_size + 20)[0])
+        if abs(e_check[0] - energies[0]) > 1e-8:
+            raise ConvergenceError(
+                f"ground state not converged: E0 shifts by "
+                f"{abs(e_check[0] - energies[0]):.3e} for basis {basis_size} -> "
+                f"{basis_size + 20}"
+            )
+        n_states = basis_size // 4
+        uk = u[:, :n_states]
+        x_e = uk.T @ x @ uk
+        p_e = uk.conj().T @ p @ uk
     return TransitionMatrix(
         scales=scales,
         energies=energies[:n_states],

@@ -5,8 +5,9 @@ grid eigensolvers, brute-force time integrals) and shares no code with the
 library paths it checks.  The exceptions are correlation_reference, which
 synthesizes through the public eval_field_grid: it checks only how
 empirical_correlation drives the synthesis, not the synthesis itself; and
-moment_curves_reference, which evaluates H with the force's own potential:
-it checks only how the ensemble statistics reduce the report.
+moment_curves_reference and balance_reference, which evaluate f' and H with
+the force's own methods: they check only how the ensemble statistics reduce
+the report.
 """
 
 from __future__ import annotations
@@ -332,6 +333,58 @@ def rk4_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1
     return xs, ps, es
 
 
+def rk4_affine_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1):
+    """The linear-force RK4 recurrence as one banded solve over all steps.
+
+    One step is s[j] = M s[j-1] + B u[j] + c for s = (x, p) and u[j] =
+    (e0, e1/2, e1); M, B and c are the images of basis states under one
+    rk4_reference step.  With the states interleaved as (x1, p1, x2, p2,
+    ...), s[j] - M s[j-1] = B u[j] + c is one unit lower-triangular band of
+    3 subdiagonals and 2*n_steps columns, solved by BLAS dtbsv for each
+    member of drive_half.  Returns (xs, ps, es, fails) as rk4_core does:
+    decimated rows, NaN for a failed member, and each member's first
+    failure (step, kind, |x|) or None, kind 0 an escape beyond the force's
+    escape_bound and kind 1 a non-finite state.
+    """
+    from scipy.linalg.blas import dtbsv
+
+    probes = np.eye(6)[:5].T
+    xs1, ps1, _ = rk4_reference(scales, force, probes[:, 2:], probes[:, 0], probes[:, 1], dt, 1)
+    images = np.array([(x, p) for x, p in zip(xs1[:, 1], ps1[:, 1])]).T
+    c = images[:, 5]
+    cols = images[:, :5] - c[:, None]
+    step_map = cols[:, :2]
+    weights = np.vstack([cols[:, 2:].T, c])
+    band = np.zeros((4, 2 * n_steps), order="F")
+    band[2, 0::2], band[3, 0::2] = -step_map[:, 0]
+    band[1, 1::2], band[2, 1::2] = -step_map[:, 1]
+    bound = force.escape_bound
+    n_out = n_steps // store_stride + 1
+    xs, ps, es = np.empty((3, len(drive_half), n_out))
+    fails = []
+    for row, e in enumerate(drive_half):
+        inputs = np.empty((n_steps, 4))
+        inputs[:, 0], inputs[:, 1], inputs[:, 2], inputs[:, 3] = e[0:-1:2], e[1::2], e[2::2], 1.0
+        state = np.empty((n_steps, 2))
+        np.matmul(inputs, weights, out=state)
+        state[0] += step_map @ (x0[row], p0[row])
+        dtbsv(3, band, state.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        xs[row, 0], ps[row, 0] = x0[row], p0[row]
+        xs[row, 1:] = state[store_stride - 1 :: store_stride, 0]
+        ps[row, 1:] = state[store_stride - 1 :: store_stride, 1]
+        es[row] = e[0 : 2 * store_stride * n_out : 2 * store_stride]
+        x = state[:, 0]
+        escaped = ~(np.abs(x) <= bound) if bound is not None else np.zeros(n_steps, bool)
+        bad = escaped | ~(np.isfinite(x) & np.isfinite(state[:, 1]))
+        if not bad.any():
+            fails.append(None)
+            continue
+        i = int(np.argmax(bad))
+        fails.append((i + 1, 0, float(abs(x[i]))) if escaped[i] else (i + 1, 1, np.nan))
+        xs[row] = ps[row] = es[row] = np.nan
+    return xs, ps, es, fails
+
+
 def hierarchy_reference(scales, force, drive_half, x0, p0, dt, n_steps, store_stride=1):
     """hierarchy_terms' RK4 over (x0, p0, x1, p1, x2, p2) as a numpy loop.
 
@@ -426,3 +479,53 @@ def memory_delta_reference(report) -> np.ndarray:
     xa, xb = report.x[0::2], report.x[1::2]
     ok = _finite(xa) & _finite(xb)
     return np.abs(xa[ok].mean(axis=0) - xb[ok].mean(axis=0))
+
+
+def _stationary_window(report, *planes):
+    """Each plane's finite members' rows over the default stationary window
+    (burn_in, t_span), copied in column-major order, and the window's times."""
+    cfg = report.config
+    sl = (report.t >= cfg.burn_in - 1e-12) & (report.t <= cfg.t_span + 1e-12)
+    ok = _finite(report.x)
+    cut = sl if ok.all() else np.ix_(sl, ok)
+    return report.t[sl], [plane.T[cut].T for plane in planes]
+
+
+def balance_reference(report) -> dict:
+    """measure_balance's flows over the default window as whole-window
+    formulas: per-member time averages of every member at once, then the
+    mean over the members and its i.i.d. standard error."""
+    t, (x, p, e) = _stationary_window(report, report.x, report.p, report.drive)
+    cfg = report.config
+    m, tau = cfg.scales.m, cfg.scales.tau
+    rad_i = (tau / m * cfg.force.fp(x) * p * (p / m)).mean(axis=1)
+    abs_i = (p * e).mean(axis=1) / m
+    h_series = p**2 / (2 * m) + cfg.force.potential(x)
+    tc = t - t.mean()
+    drift_i = (h_series * tc).sum(axis=1) / (tc**2).sum()
+    out = {}
+    for name, values in (("radiated", rad_i), ("absorbed", abs_i), ("net_drift", drift_i)):
+        out[name], out[f"{name}_se"] = map(float, _mean_se(values))
+    return out
+
+
+def envelope_reference(report) -> tuple:
+    """power_spectrum's envelope over the default window: the autocorrelation
+    of x, averaged over every member's zero-padded periodogram at once and
+    corrected for the triangular bias, and the fwhm, twice the decay rate
+    fitted to the log of its peaks over lags from one period to 4
+    energy-decay times (at most 0.8 of the window)."""
+    _, (x,) = _stationary_window(report, report.x)
+    cfg = report.config
+    n, L = x.shape
+    dts = report.t[1] - report.t[0]
+    nfft = 1 << int(np.ceil(np.log2(2 * L)))
+    spec = np.fft.rfft(x, nfft, axis=1)
+    ac = np.fft.irfft((np.abs(spec) ** 2).mean(axis=0), nfft)[:L] / L
+    ac = ac / (1.0 - np.arange(L) / L)
+    u = dts * np.arange(L)
+    inside = (u >= 2 * np.pi / cfg.omega) & (u <= min(4.0 * cfg.energy_decay_time, 0.8 * u[-1]))
+    peaks = np.flatnonzero((np.abs(ac[1:-1]) > np.abs(ac[:-2]))
+                           & (np.abs(ac[1:-1]) >= np.abs(ac[2:]))) + 1
+    peaks = peaks[inside[peaks] & (ac[peaks] != 0)]
+    return ac, float(2.0 * -np.polyfit(u[peaks], np.log(np.abs(ac[peaks])), 1)[0])

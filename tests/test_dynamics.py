@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import sedlab as sl
 from sedlab import dynamics
 
-from oracles import causal_convolution_direct, hierarchy_reference, rk4_reference
+from oracles import (causal_convolution_direct, hierarchy_reference, rk4_affine_reference,
+                     rk4_reference)
 
 
 def _ref_realization(total_time, seed=4242, oversample=2.0, omega_cut=20.0):
@@ -252,6 +254,76 @@ class TestAffineRecurrence:
         fast = dynamics.rk4_core(*args)
         assert fast[3][0][1] == 1
         _assert_records(fast, _oracle_alone(*args), 0.0, dt, exact=False)
+
+
+class TestWindowedSolve:
+    """The banded solve runs in windows of dynamics._WINDOW steps; one solve
+    over all steps (the oracle) gives the same bits."""
+
+    @staticmethod
+    def _same_as_whole_band(force, tau, n_steps, strides=(1, 3, 7), poison=None):
+        scales = sl.PhysicalScales(tau=tau)
+        rng = np.random.default_rng(n_steps)
+        drive = rng.standard_normal((2, 2 * n_steps + 1))
+        if poison is not None:  # the second member's drive turns infinite
+            drive[1, 2 * poison - 1] = np.inf
+        x0, p0 = np.array([0.3, -1.0]), np.array([0.1, 0.0])
+        for stride in strides:
+            vars(dynamics._last).clear()
+            with np.errstate(invalid="ignore"):  # inf times a zero weight
+                got = dynamics.rk4_core(scales, force, drive, x0, p0, 0.01, n_steps, stride)
+                want = rk4_affine_reference(scales, force, drive, x0, p0, 0.01, n_steps,
+                                            stride)
+            for ours, theirs in zip(got[:3], want[:3]):
+                assert np.array_equal(_bits(ours), _bits(theirs))
+            assert repr(got[3]) == repr(want[3])
+        vars(dynamics._last).clear()
+        return got[3]
+
+    @pytest.mark.parametrize("force", [sl.harmonic(1.0), sl.polynomial([0.3, -2.0])],
+                             ids=["harmonic", "polynomial"])
+    @pytest.mark.parametrize("tau", [0.0, 0.01])
+    @pytest.mark.parametrize("n_steps", [1, 2, 6, 7, 8, 100, 4094, 4095, 4096, 4097, 8190,
+                                         8193, 16_384, 16_385, 16_386, 31_250, 93_750])
+    def test_bit_identical_to_one_solve(self, force, tau, n_steps):
+        self._same_as_whole_band(force, tau, n_steps)
+
+    @pytest.mark.parametrize("n_steps, step", [(31_250, 6173), (31_250, 20_000)],
+                             ids=["first-window", "second-window"])
+    def test_failure_record(self, n_steps, step):
+        # an infinite midpoint drive sample makes the state non-finite at its step
+        fails = self._same_as_whole_band(sl.harmonic(1.0), 0.01, n_steps, poison=step)
+        assert fails[0] is None
+        assert fails[1][:2] == (step, 1) and np.isnan(fails[1][2])
+
+    @pytest.mark.parametrize("window", [2, 5])
+    def test_many_seams(self, monkeypatch, window):
+        # small windows put a seam every few steps, a last window of
+        # window + 1 steps among them
+        monkeypatch.setattr(dynamics, "_WINDOW", window)
+        for n_steps in (1, 2, 3, window, window + 1, window + 2, 2 * window + 1, 101):
+            self._same_as_whole_band(sl.polynomial([0.3, -2.0]), 0.01, n_steps)
+        escape = sl.polynomial([0.0, 25.0], escape_bound=5.0)
+        fails = self._same_as_whole_band(escape, 0.01, 1000, strides=(1,))
+        assert fails[0][1] == 0 and fails[0][0] > 2 * window
+
+    def test_setup_does_not_grow_with_the_run(self, pin_cpus):
+        # traced memory held by one set-up: the band, inputs and state of one
+        # window, 1.76 MiB at 125,000 and at 1,250,000 steps; one band over
+        # all steps held 13.4 MiB at 125,000 steps and 134 MiB at 1,250,000
+        pin_cpus(1)
+        held = []
+        for n_steps in (125_000, 1_250_000):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run = dynamics._rk4_affine(sl.REF, sl.harmonic(1.0), 0.016, n_steps, 1)
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+            finally:
+                tracemalloc.stop()
+            del run
+        assert abs(held[1] - held[0]) < 2**16, held
+        assert max(held) <= 2 * 2**20, held
 
 
 def _bits(a):

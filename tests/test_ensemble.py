@@ -10,8 +10,10 @@ from sedlab import dynamics, ensemble
 from sedlab.rng import derive_seed, splitmix64
 
 from oracles import (
+    balance_reference,
     diffusion_reference,
     dpx_raw_quad,
+    envelope_reference,
     memory_delta_reference,
     moment_curves_reference,
     stationary_oracle,
@@ -105,10 +107,11 @@ class TestRunEnsemble:
     def test_drives_resident_do_not_grow_with_members(self, monkeypatch, pin_cpus):
         # traced memory up to the end of the integration, over the report's
         # planes, in one member's drive bytes: the banded solve's band,
-        # inputs and state take 7 (set up afresh by every run, which
-        # releases them once its members are done); the drive being
-        # integrated and the next one, which is synthesized before the
-        # first is freed, 1 each; the synthesis's spectrum 1.  Measured 10.3
+        # inputs and state take 7, its 12,500 steps being one window (set
+        # up afresh by every run, which releases them once its members are
+        # done); the drive being integrated and the next one, which is
+        # synthesized before the first is freed, 1 each; the synthesis's
+        # spectrum 1.  Measured 10.3
         # in all; 12 leaves room, while drives that view two field periods
         # beside a period buffer measured 13.3 and a run that holds all 32
         # members' drives at once 46.2
@@ -175,9 +178,34 @@ class TestRunEnsemble:
         bounds = {"run_ensemble": 1.25, "moment_curves": 1.0, "estimate_diffusion": 0.75,
                   "memory_loss": 0.25}
         assert all(spans[name] < bound for name, bound in bounds.items()), spans
-        # the banded solve's band alone is 4 drives' bytes
+        # the banded solve's band alone is 4 drives' bytes (12,500 steps,
+        # one window)
         assert sum(stat.size for stat in integrator) < drive_bytes
         assert not vars(dynamics._last)
+
+    def test_window_statistics_hold_a_few_members(self, pin_cpus):
+        # traced peak above the start of each statistic, in report planes
+        # (16 members x 9376 samples, the stationary-harmonic benchmark's
+        # run).  The stationary window's copies are 2/3 of a plane each.
+        # measure_balance measured 2.92 (its three window copies and one
+        # block's terms) against 4.71 with every member's terms at once;
+        # power_spectrum 2.64 (the window and the periodogram's spectrum)
+        # against 5.52 with every member's zero-padded spectrum at once
+        pin_cpus(1)
+        report = sl.run_ensemble(small_config(n_traj=16, t_span=1500.0, burn_in=500.0))
+        plane = report.x.nbytes
+        spans = {}
+        tracemalloc.start()
+        try:
+            for name in ("measure_balance", "power_spectrum"):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                getattr(sl, name)(report)
+                spans[name] = (tracemalloc.get_traced_memory()[1] - start) / plane
+        finally:
+            tracemalloc.stop()
+        assert spans["measure_balance"] < 3.5, spans
+        assert spans["power_spectrum"] < 3.25, spans
 
     def test_runs_no_reduction(self, monkeypatch):
         # the report is returned as the members left it; a statistic is
@@ -443,6 +471,52 @@ class TestStatisticsAgainstOracle:
             assert np.array_equal(diffusion[f"{name}_se"], se)
         if isinstance(report.config.initial_conditions, sl.PairedIC):
             assert np.array_equal(sl.memory_loss(report).delta, memory_delta_reference(report))
+
+
+    @pytest.mark.parametrize("force, n_traj, diverge", [
+        (sl.harmonic(1.0), 16, False),
+        # member counts that leave a last block of three and of one, which
+        # joins the one before
+        (sl.harmonic(1.0), 7, False),
+        (sl.quartic(1.0, 0.1), 13, False),
+        # 100 members, of which one diverges: the window takes the survivors
+        (sl.harmonic(1.0), 100, True),
+    ], ids=["harmonic-16", "harmonic-7", "quartic-13", "diverged-member"])
+    def test_window_statistics_bit_identical_to_whole_window_formulas(
+            self, monkeypatch, pin_cpus, force, n_traj, diverge):
+        # measure_balance and the spectrum's envelope reduce a window a
+        # block of members at a time; whole-window formulas give the same bits
+        if diverge:
+            _diverge_first_member(monkeypatch)
+            pin_cpus(1)
+        report = sl.run_ensemble(small_config(force=force, n_traj=n_traj, t_span=1500.0,
+                                              burn_in=500.0))
+        assert len(report.diverged) == diverge
+        bal = sl.measure_balance(report)
+        for name, value in balance_reference(report).items():
+            assert getattr(bal, name) == value, name
+        fitted = []
+        peak_fit = ensemble._peak_fit
+
+        def keep(t, y, inside):
+            fitted.append(y)
+            return peak_fit(t, y, inside)
+
+        monkeypatch.setattr(ensemble, "_peak_fit", keep)
+        fwhm = sl.power_spectrum(report).fwhm
+        ac, ref_fwhm = envelope_reference(report)
+        assert np.array_equal(fitted[-1], ac)
+        assert fwhm == ref_fwhm
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 127, 128, 129, 136, 200, 257, 1000])
+    def test_pairwise_sum_is_numpys_member_mean(self, n):
+        # the envelope's sum over members, term by term, against numpy's mean
+        # over axis 0 of a column-major array of the same terms
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-9, 9, (n, 5))
+        terms = np.asfortranarray(rng.exponential(size=(n, 5)) * scale)
+        total = ensemble._pairwise_sum(iter(terms), n)
+        assert np.array_equal(total / n, terms.mean(axis=0))
 
 
 class TestMemoryLoss:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,29 @@ class TestForceModels:
         double = sl.polynomial([0.0, 1.0, 0.0, -1.0])  # f = x - x^3
         with pytest.raises(sl.ConfigurationError):
             double.equilibrium()
+        for _ in range(2):  # the potential's constant is refused every time
+            with pytest.raises(sl.ConfigurationError):
+                double.potential(0.5)
+
+    def test_potential_constant_found_once_per_model(self, monkeypatch, ref_ensemble_report):
+        # a blocked measure_balance evaluates the potential once per block of
+        # members; the equilibrium's roots are found once per model
+        calls = []
+        polyroots = np.polynomial.polynomial.polyroots
+
+        def counted(c):
+            calls.append(1)
+            return polyroots(c)
+
+        report = ref_ensemble_report
+        expected = sl.measure_balance(report)
+        force = sl.harmonic(1.0)
+        fresh = replace(report, config=replace(report.config, force=force))
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", counted)
+        assert sl.measure_balance(fresh) == sl.measure_balance(fresh) == expected
+        assert report.n_members == 200 and len(calls) == 1
+        assert force.potential(0.5) == sl.harmonic(1.0).potential(0.5) == 0.125
+        assert len(calls) == 2
 
     def test_confining_classification(self):
         assert sl.harmonic(1.0).is_confining()

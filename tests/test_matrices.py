@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,3 +135,57 @@ class TestHeisenberg:
         h = sl.heisenberg_product(quartic_tm, 0)
         assert h["product"] > 0.25
         assert h["product"] == pytest.approx(0.2501358, rel=1e-4)
+
+
+_DIAGONALIZE = """
+import sys
+import sedlab as sl
+tm = sl.diagonalize_potential(sl.REF, sl.quartic(1.0, 0.1), 200)
+for a in (tm.energies, tm.x_elems, tm.p_elems):
+    sys.stdout.buffer.write(a.tobytes())
+"""
+
+
+def test_diagonalization_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits its work by its thread count, which moved the last
+    # bits of this basis between one thread and two
+    src = str(Path(sl.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _DIAGONALIZE], env=env,
+                              capture_output=True, timeout=120, check=True)
+        out.append(proc.stdout)
+    assert len(out[0]) == 50 * 8 + 2 * 50 * 50 * 16
+    assert out[0] == out[1]
+
+
+def test_one_blas_thread_restores_each_count():
+    # every loaded OpenBLAS runs the body on one thread and gets its own
+    # count back afterwards, also when the body raises
+    import ctypes
+
+    from sedlab.matrices import _BLAS_THREAD_FUNCTIONS, _one_blas_thread
+
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    counters = []
+    for path in sorted(p for p in paths if ".so" in p):
+        lib = ctypes.CDLL(path)
+        names = [pair for pair in _BLAS_THREAD_FUNCTIONS if hasattr(lib, pair[0])]
+        if names:
+            counters.append((getattr(lib, names[0][0]), getattr(lib, names[0][1])))
+    assert counters  # numpy's and scipy's, in the wheels
+    before = [get() for get, _ in counters]
+    try:
+        for _, put in counters:
+            put(2)
+        with pytest.raises(sl.ConvergenceError):
+            with _one_blas_thread():
+                assert [get() for get, _ in counters] == [1] * len(counters)
+                raise sl.ConvergenceError("body failed")
+        assert [get() for get, _ in counters] == [2] * len(counters)
+    finally:
+        for (_, put), count in zip(counters, before):
+            put(count)
